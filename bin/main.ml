@@ -481,13 +481,6 @@ let stats_every_arg =
        & info [ "stats-every" ] ~docv:"T"
            ~doc:"Ticks between snapshot rewrites for a JSON --stats file.")
 
-let write_atomic path content =
-  let tmp = path ^ ".tmp" in
-  let oc = open_out tmp in
-  output_string oc content;
-  close_out oc;
-  Sys.rename tmp path
-
 type stats_live = {
   st_rollup : Rollup.t;
   st_supervise : tick:int -> session:int -> action:string -> detail:string -> unit;
@@ -504,7 +497,7 @@ let stats_live ~every ~specs path =
   let st_tick ~tick =
     if path <> "-" && (not (Filename.check_suffix path ".prom"))
        && every > 0 && tick mod every = 0
-    then write_atomic path (Rollup.to_json (Rollup.snapshot st_rollup))
+    then File.write_atomic path (Rollup.to_json (Rollup.snapshot st_rollup))
   in
   let st_finish () =
     let snap = Rollup.snapshot st_rollup in
@@ -514,7 +507,7 @@ let stats_live ~every ~specs path =
         if Filename.check_suffix path ".prom" then Rollup.to_prometheus snap
         else Rollup.to_json snap
       in
-      write_atomic path content;
+      File.write_atomic path content;
       Table.print (Rollup.table snap);
       Printf.printf "stats          -> %s\n" path
     end
@@ -551,11 +544,9 @@ let population_of_mix ?warm ~sessions = function
   | `Net -> E19_net_matrix.population ~sessions ()
 
 (* Warm-start stores: known winning candidate indices per session
-   class, persisted as JSONL (lib/compile Warm).  Loading a missing
+   class, persisted as JSONL (Goalcom_harness.Warm).  Loading a missing
    file is an empty store; a corrupt file degrades to a cold start
    (Warm.hints rejects it with a Trace.Warm event). *)
-
-module Warm = Goalcom_compile.Warm
 
 let warm_arg =
   Arg.(value & opt (some string) None

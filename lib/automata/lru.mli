@@ -1,10 +1,10 @@
 (** A bounded, domain-safe LRU cache keyed by [int].
 
-    The decode+compile memo of the enumeration ladder: strategy classes
+    The decode memo of the enumeration ladder: strategy classes
     are enumerations of machines, candidates are fetched by index, and
     the same indices recur — across Levin phases within one race, and
     across runs within one process.  A bounded LRU keeps the hot prefix
-    of the ladder compiled without letting an unbounded enumeration pin
+    of the ladder decoded without letting an unbounded enumeration pin
     arbitrary memory.
 
     All bookkeeping takes an internal mutex, so one cache may be shared
@@ -12,7 +12,7 @@
     other domains.  [find_or_add] computes the missing value {e outside}
     the lock — two domains missing on the same key may both compute it
     (the first insertion wins) — so the cached computation must be pure,
-    which decode+compile is. *)
+    which decoding is. *)
 
 type 'a t
 

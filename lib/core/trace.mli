@@ -81,7 +81,7 @@ type event =
       accepted : bool;
       detail : string;
     }
-      (** a warm-start cache decision ([lib/compile]): an entry for
+      (** a warm-start cache decision ([Goalcom_harness.Warm]): an entry for
           ([server_class], [enum]) proposing candidate [index] was
           applied ([accepted = true], [detail = "hit"]) or rejected in
           favour of the cold enumeration ([accepted = false]; [detail]

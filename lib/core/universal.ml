@@ -310,8 +310,8 @@ let finite_par ?schedule ?(max_slots = 64) ?jobs ?pool ?config ~enum ~sensing
      same index in every phase (index 0 appears in all of them), so
      without it a 64-slot race decodes candidate 0 eleven times.  With
      it, no candidate is ever decoded twice within a race — and when
-     the enumeration is itself cache-backed ([Enum.cached], as the
-     compiled classes of lib/compile are), not twice per process. *)
+     the enumeration is itself cache-backed (a class wrapped in
+     [Enum.cached]), not twice per process. *)
   let memo = memo_create enum in
   let candidates =
     Array.map (fun slot -> memo_get memo slot.Levin.index) slots

@@ -17,7 +17,6 @@ open Goalcom_prelude
 open Goalcom_automata
 open Goalcom_goals
 module Session = Goalcom_session
-module Warm = Goalcom_compile.Warm
 
 let title = "Chaos matrix: goal completion under supervised concurrency"
 

@@ -18,14 +18,14 @@ val title : string
 val claim : string
 
 val specs :
-  ?warm:(Goalcom_compile.Warm.entry list, string) result ->
+  ?warm:(Warm.entry list, string) result ->
   sessions:int ->
   unit ->
   Goalcom_session.Engine.spec array
 (** The standard mix: session [i] is printing / corridor maze /
     open-room maze by [i mod 3], with server dialects cycled within
     each family.  [warm] is a loaded warm-start store
-    ({!Goalcom_compile.Warm.load}): validated hints become prepended
+    ({!Warm.load}): validated hints become prepended
     Levin slots, so repeated runs skip straight to known winners; a
     load [Error] or stale entry falls back cold (with a [Trace.Warm]
     event when tracing). *)
@@ -36,15 +36,15 @@ val warm_class : int -> string
     breaker — the winning candidate depends on the dialect). *)
 
 val warm_entries :
-  ?warm:(Goalcom_compile.Warm.entry list, string) result ->
+  ?warm:(Warm.entry list, string) result ->
   Goalcom_session.Engine.report ->
-  Goalcom_compile.Warm.entry list
+  Warm.entry list
 (** Harvest warm-start entries from a finished run: each [Done]
     session's checkpoint pins its winning candidate index and the
     schedule slot it was running (whose budget becomes the hint
     budget).  Starts from the entries already in [warm] (if any), so
     recording is cumulative; pass the result to
-    {!Goalcom_compile.Warm.save}. *)
+    {!Warm.save}. *)
 
 type condition = {
   cname : string;
@@ -59,7 +59,7 @@ val chaos_of : string -> Goalcom_session.Chaos.t
     @raise Invalid_argument on a bad spec. *)
 
 val run_condition :
-  ?warm:(Goalcom_compile.Warm.entry list, string) result ->
+  ?warm:(Warm.entry list, string) result ->
   ?jobs:int ->
   sessions:int ->
   seed:int ->

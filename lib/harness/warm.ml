@@ -1,6 +1,7 @@
 open Goalcom_automata
 open Goalcom
 module Json = Goalcom_obs.Json
+module Jsonl = Goalcom_obs.Jsonl
 
 type entry = {
   server_class : string;
@@ -15,26 +16,10 @@ type entry = {
 
 let entry_to_json e =
   let b = Buffer.create 96 in
-  let add_str s =
-    Buffer.add_char b '"';
-    String.iter
-      (fun c ->
-        match c with
-        | '"' -> Buffer.add_string b "\\\""
-        | '\\' -> Buffer.add_string b "\\\\"
-        | '\n' -> Buffer.add_string b "\\n"
-        | '\r' -> Buffer.add_string b "\\r"
-        | '\t' -> Buffer.add_string b "\\t"
-        | c when Char.code c < 0x20 ->
-            Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-        | c -> Buffer.add_char b c)
-      s;
-    Buffer.add_char b '"'
-  in
   Buffer.add_string b "{\"class\":";
-  add_str e.server_class;
+  Jsonl.add_str b e.server_class;
   Buffer.add_string b ",\"enum\":";
-  add_str e.enum;
+  Jsonl.add_str b e.enum;
   Buffer.add_string b ",\"index\":";
   Buffer.add_string b (string_of_int e.index);
   Buffer.add_string b ",\"budget\":";
@@ -43,15 +28,8 @@ let entry_to_json e =
   Buffer.contents b
 
 let save path entries =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      List.iter
-        (fun e ->
-          output_string oc (entry_to_json e);
-          output_char oc '\n')
-        entries)
+  Goalcom_prelude.File.write_atomic path
+    (String.concat "" (List.map (fun e -> entry_to_json e ^ "\n") entries))
 
 let ( let* ) r f = match r with Ok v -> f v | Error _ as e -> e
 

@@ -32,7 +32,9 @@ val entry_to_json : entry -> string
     [{"class":...,"enum":...,"index":...,"budget":...}]. *)
 
 val save : string -> entry list -> unit
-(** Write the store, one entry per line (overwrites). *)
+(** Write the store, one entry per line, replacing [path] atomically
+    ({!Goalcom_prelude.File.write_atomic}): a crash mid-save leaves the
+    previous store intact. *)
 
 val load : string -> (entry list, string) result
 (** Parse a store; any corrupt line fails the whole load (the caller

@@ -24,6 +24,11 @@ val add_event : Buffer.t -> Trace.event -> unit
 val event_to_json : Trace.event -> string
 (** A single-line JSON object, no trailing newline. *)
 
+val add_str : Buffer.t -> string -> unit
+(** Append [s] as a quoted JSON string: quotes, backslashes and control
+    characters escaped, other bytes raw — what {!Json.parse} reads
+    back byte for byte. *)
+
 val to_lines : Trace.event list -> string list
 
 val sink : out_channel -> Trace.sink

@@ -1,22 +1,21 @@
-(* Differential battery for lib/compile: flat-table lowering, the
-   decode+compile LRU cache, and the warm-start store.
+(* The decode cache and the warm-start store.
 
-   The compile layer is an optimisation, so almost every property here
-   is an equivalence: compiled step = Mealy.step, compiled user =
-   machine user transcript-for-transcript, cached enumerations =
-   uncached ones, and the universal constructions (finite, compact,
-   finite_par across jobs counts) produce bit-identical winners and
-   histories whichever class they climb.  The warm-start tests pin the
-   robustness contract: a hit replays the cold outcome from slot 0, and
-   corrupt stores, stale indices and bad budgets all fall back cold
-   with a Trace.Warm event recording the rejection. *)
+   Enum.cached is an optimisation, so most properties here are
+   equivalences: cached enumerations = uncached ones, and the universal
+   constructions (finite, compact, finite_par across jobs counts)
+   produce bit-identical winners and histories whether they climb
+   [Machine_user.user_class] directly or behind the cache.  Test names
+   call the cached class "compiled", the vocabulary of bench part 7's
+   metrics.  The warm-start tests pin the robustness contract: a hit
+   replays the cold outcome from slot 0; corrupt stores, stale indices
+   and bad budgets all fall back cold with a Trace.Warm event recording
+   the rejection; saves are atomic; and no input file makes [load]
+   raise. *)
 
 open Goalcom
 open Goalcom_prelude
 open Goalcom_automata
-module Ctable = Goalcom_compile.Table
-module Compiled = Goalcom_compile.Compiled
-module Warm = Goalcom_compile.Warm
+module Warm = Goalcom_harness.Warm
 
 let qtest ?(count = 100) name gen law =
   QCheck_alcotest.to_alcotest (QCheck.Test.make ~count ~name gen law)
@@ -26,86 +25,7 @@ let contains ~affix s =
   let rec go i = i + n <= m && (String.sub s i n = affix || go (i + 1)) in
   n = 0 || go 0
 
-(* --- generators ------------------------------------------------------- *)
-
-(* A random machine: small random dimensions, then a uniform code
-   decoded through the canonical numbering. *)
-let gen_mealy_dims ~states ~inputs ~outputs =
-  QCheck.Gen.map
-    (fun code -> Option.get (Mealy.decode ~states ~inputs ~outputs code))
-    (QCheck.Gen.int_range 0 (Mealy.count ~states ~inputs ~outputs - 1))
-
-let gen_mealy =
-  QCheck.Gen.(
-    int_range 1 3 >>= fun states ->
-    int_range 1 3 >>= fun inputs ->
-    int_range 1 3 >>= fun outputs -> gen_mealy_dims ~states ~inputs ~outputs)
-
-let print_mealy m =
-  Printf.sprintf "machine#%d(%d states,%d in,%d out)" (Mealy.encode m)
-    m.Mealy.states m.Mealy.inputs m.Mealy.outputs
-
-let arb_mealy = QCheck.make gen_mealy ~print:print_mealy
-
-(* Machines over the xor codec's alphabets (3 world inputs, 2 symbol
-   outputs) for the transcript differential. *)
-let arb_codec_mealy =
-  QCheck.make ~print:print_mealy
-    QCheck.Gen.(
-      int_range 1 2 >>= fun states ->
-      gen_mealy_dims ~states ~inputs:3 ~outputs:2)
-
-(* --- table lowering --------------------------------------------------- *)
-
-let prop_step_matches =
-  qtest "Table: compiled step = Mealy.step on every (state, input)"
-    arb_mealy (fun m ->
-      let t = Ctable.of_mealy m in
-      let ok = ref true in
-      for s = 0 to m.Mealy.states - 1 do
-        for i = 0 to m.Mealy.inputs - 1 do
-          if Ctable.step t s i <> Mealy.step m s i then ok := false;
-          if Ctable.step_unsafe t s i <> Mealy.step m s i then ok := false
-        done
-      done;
-      !ok)
-
-let prop_run_matches =
-  qtest "Table: compiled run = Mealy.run on random words"
-    QCheck.(pair arb_mealy (list_of_size Gen.(int_bound 20) (int_bound 20)))
-    (fun (m, word) ->
-      let word = List.map (fun i -> i mod m.Mealy.inputs) word in
-      Ctable.run (Ctable.of_mealy m) word = Mealy.run m word)
-
-let prop_roundtrip =
-  qtest "Table: to_mealy (of_mealy m) = m" arb_mealy (fun m ->
-      Ctable.to_mealy (Ctable.of_mealy m) = m)
-
-let prop_roundtrip_table =
-  qtest "Table: of_mealy (to_mealy t) = t" arb_mealy (fun m ->
-      let t = Ctable.of_mealy m in
-      Ctable.of_mealy (Ctable.to_mealy t) = t)
-
-(* --- compiled strategies ---------------------------------------------- *)
-
-let read = Machine_user.read_world_int ~cap:3
-let write = Machine_user.write_world_sym
-
-let obs_of r w =
-  { Io.User.from_server = Msg.Silence; from_world = Msg.Int w; round = r }
-
-let prop_compiled_user_transcript =
-  qtest "Compiled: compiled user = machine user on random observations"
-    QCheck.(pair arb_codec_mealy (list_of_size Gen.(int_bound 30) (int_bound 5)))
-    (fun (m, ws) ->
-      let a = Strategy.Instance.create (Machine_user.user_of_mealy ~read ~write m) in
-      let b = Strategy.Instance.create (Compiled.user_of_mealy ~read ~write m) in
-      let rng = Rng.make 7 in
-      List.for_all
-        (fun (r, w) ->
-          Strategy.Instance.step rng a (obs_of r w)
-          = Strategy.Instance.step rng b (obs_of r w))
-        (List.mapi (fun r w -> (r + 1, w)) ws))
+(* --- the decode cache -------------------------------------------------- *)
 
 let machines_2 = Mealy.enumerate ~states:2 ~inputs:2 ~outputs:2
 
@@ -244,10 +164,13 @@ let sensing =
       | Some _ | None -> false)
 
 let machines_1 = Mealy.enumerate_up_to ~max_states:1 ~inputs:3 ~outputs:2
-let uncompiled_class () = Machine_user.user_class ~read ~write machines_1
+
+let uncompiled_class () =
+  Machine_user.user_class ~read:(Machine_user.read_world_int ~cap:3)
+    ~write:Machine_user.write_world_sym machines_1
 
 let compiled_class ~capacity () =
-  fst (Compiled.cached_user_class ~capacity ~read ~write machines_1)
+  fst (Enum.cached ~capacity (uncompiled_class ()))
 
 let run_universal ~make_user ~b ~seed =
   let stats = Universal.new_stats () in
@@ -259,7 +182,7 @@ let run_universal ~make_user ~b ~seed =
   in
   (outcome.Outcome.achieved, stats.Universal.current_index, history)
 
-(* --- universal constructions: compiled = uncompiled ------------------- *)
+(* --- universal constructions: cached class = plain class --------------- *)
 
 let prop_finite_differential =
   qtest ~count:8 "Universal.finite: compiled+cached class = uncompiled class"
@@ -329,14 +252,28 @@ let prop_finite_par_differential =
 
 (* --- warm-start store ------------------------------------------------- *)
 
+(* Names mix plain text with the bytes the JSON writer must escape:
+   quotes, backslashes and control characters, plus raw high bytes. *)
+let gen_name =
+  QCheck.Gen.(
+    string_size (int_bound 12)
+      ~gen:
+        (frequency
+           [
+             (4, printable);
+             (1, oneofl [ '"'; '\\' ]);
+             (1, map Char.chr (int_bound 0x1f));
+             (1, char);
+           ]))
+
 let arb_entry =
-  QCheck.(
-    map
-      (fun ((c, e), (i, bu)) ->
-        { Warm.server_class = c; enum = e; index = i; budget = bu })
-      (pair
-         (pair small_printable_string small_printable_string)
-         (pair (int_bound 1000) (1 -- 1000))))
+  QCheck.make
+    ~print:Warm.entry_to_json
+    QCheck.Gen.(
+      map
+        (fun ((c, e), (i, bu)) ->
+          { Warm.server_class = c; enum = e; index = i; budget = bu })
+        (pair (pair gen_name gen_name) (pair (int_bound 1000) (1 -- 1000))))
 
 let prop_warm_roundtrip =
   qtest ~count:60 "Warm: save/load JSONL roundtrip"
@@ -348,6 +285,64 @@ let prop_warm_roundtrip =
         (fun () ->
           Warm.save path entries;
           Warm.load path = Ok entries))
+
+let test_warm_atomic_save () =
+  let path = Filename.temp_file "warm_atomic" ".jsonl" in
+  let tmp = path ^ ".tmp" in
+  let entry index =
+    { Warm.server_class = "c"; enum = "e"; index; budget = 1 }
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter Sys.remove (List.filter Sys.file_exists [ path; tmp ]))
+    (fun () ->
+      Warm.save path [ entry 1 ];
+      Alcotest.(check bool) "no temp file after save" false (Sys.file_exists tmp);
+      (* A writer that crashed before its rename leaves a partial temp
+         file behind; the store itself is untouched. *)
+      let oc = open_out tmp in
+      output_string oc "{\"class\":\"c\",\"enu";
+      close_out oc;
+      Alcotest.(check bool) "stale temp file is ignored" true
+        (Warm.load path = Ok [ entry 1 ]);
+      Warm.save path [ entry 2 ];
+      Alcotest.(check bool) "next save replaces the temp file" false
+        (Sys.file_exists tmp);
+      Alcotest.(check bool) "store round-trips" true
+        (Warm.load path = Ok [ entry 2 ]))
+
+(* Arbitrary bytes, and valid store lines cut short or with one byte
+   overwritten: [load] answers Ok or Error and never raises. *)
+let gen_store_bytes =
+  QCheck.Gen.(
+    let valid =
+      list_size (1 -- 3) (QCheck.gen arb_entry) >|= fun es ->
+      String.concat "" (List.map (fun e -> Warm.entry_to_json e ^ "\n") es)
+    in
+    frequency
+      [
+        (1, string_size ~gen:char (int_bound 200));
+        ( 1,
+          valid >>= fun s ->
+          int_bound (String.length s) >|= fun cut -> String.sub s 0 cut );
+        ( 1,
+          valid >>= fun s ->
+          pair (int_bound (String.length s - 1)) char >|= fun (at, c) ->
+          String.mapi (fun i c' -> if i = at then c else c') s );
+      ])
+
+let prop_warm_load_fuzz =
+  qtest ~count:500 "Warm.load: arbitrary bytes never raise"
+    (QCheck.make ~print:String.escaped gen_store_bytes)
+    (fun bytes ->
+      let path = Filename.temp_file "warm_fuzz" ".jsonl" in
+      Fun.protect
+        ~finally:(fun () -> Sys.remove path)
+        (fun () ->
+          let oc = open_out_bin path in
+          output_string oc bytes;
+          close_out oc;
+          match Warm.load path with Ok _ | Error _ -> true))
 
 let prop_warm_record_lookup =
   qtest ~count:60 "Warm: record then lookup; re-record replaces, not grows"
@@ -489,117 +484,12 @@ let test_warm_replay_race () =
               Alcotest.(check int) "won at the hint slot" 0
                 warm.Universal.winner_slot))
 
-(* --- the cache-size knob ---------------------------------------------- *)
-
-let test_cache_capacity_env () =
-  let set v = Unix.putenv "GOALCOM_COMPILE_CACHE" v in
-  let rejects v =
-    set v;
-    try
-      ignore (Compiled.cache_capacity ());
-      false
-    with Invalid_argument _ -> true
-  in
-  set "7";
-  Alcotest.(check int) "knob read" 7 (Compiled.cache_capacity ());
-  set " 12 ";
-  Alcotest.(check int) "whitespace trimmed" 12 (Compiled.cache_capacity ());
-  set "0";
-  Alcotest.(check int) "0 disables" 0 (Compiled.cache_capacity ());
-  Alcotest.(check bool) "negative rejected" true (rejects "-3");
-  Alcotest.(check bool) "garbage rejected" true (rejects "many");
-  Alcotest.(check bool) "empty rejected" true (rejects "")
-
-(* --- table-driven sensors and referees -------------------------------- *)
-
-(* The 2-state "seen a 1 yet?" DFA: emits 1 once a 1 has been read,
-   which the sensor and both referees key on. *)
-let seen1 =
-  Mealy.make ~states:2 ~inputs:2 ~outputs:2
-    ~next:[| [| 0; 1 |]; [| 1; 1 |] |]
-    ~out:[| [| 0; 1 |]; [| 1; 1 |] |]
-
-let is1 = function Msg.Int 1 | Msg.Sym 1 -> true | _ -> false
-
-let history_of syms =
-  let round r w =
-    {
-      History.Round.index = r;
-      user_to_server = Msg.Silence;
-      user_to_world = Msg.Silence;
-      server_to_user = Msg.Silence;
-      server_to_world = Msg.Silence;
-      world_to_user = Msg.Int w;
-      world_to_server = Msg.Silence;
-      world_view = Msg.Int w;
-      user_halted = false;
-    }
-  in
-  History.make ~initial_world_view:(Msg.Int 0)
-    (List.mapi (fun i w -> round (i + 1) w) syms)
-
-let prop_table_sensor =
-  qtest ~count:60 "Table.sensor = native incremental sensor"
-    QCheck.(list_of_size Gen.(int_bound 25) (int_bound 1))
-    (fun syms ->
-      let table_sensor =
-        Ctable.sensor ~name:"seen1/table"
-          ~read:(fun e -> if is1 e.View.from_world then 1 else 0)
-          ~accept:(fun o -> o = 1)
-          (Ctable.of_mealy seen1)
-      in
-      let reference =
-        Sensing.incremental ~name:"seen1/ref"
-          ~init:(fun () -> (false, Sensing.Negative))
-          ~step:(fun seen e ->
-            let seen = seen || is1 e.View.from_world in
-            (seen, if seen then Sensing.Positive else Sensing.Negative))
-      in
-      let h = history_of syms in
-      Sensing.verdicts table_sensor h = Sensing.verdicts reference h)
-
-let prop_table_referees =
-  qtest ~count:60 "Table referees = native incremental referees"
-    QCheck.(list_of_size Gen.(int_bound 25) (int_bound 1))
-    (fun syms ->
-      let read m = if is1 m then 1 else 0 in
-      let accept o = o = 1 in
-      let t = Ctable.of_mealy seen1 in
-      let ref_incr ctor name =
-        ctor name
-          ~init:(fun v0 ->
-            let seen = is1 v0 in
-            (seen, Referee.verdict_of_bool seen))
-          ~step:(fun seen v ->
-            let seen = seen || is1 v in
-            (seen, Referee.verdict_of_bool seen))
-      in
-      let h = history_of syms in
-      Referee.violations (Ctable.finite_referee ~name:"t" ~read ~accept t) h
-      = Referee.violations (ref_incr Referee.finite_incremental "r") h
-      && Referee.violations (Ctable.compact_referee ~name:"t" ~read ~accept t) h
-         = Referee.violations (ref_incr Referee.compact_incremental "r") h)
-
 (* --- registration ----------------------------------------------------- *)
 
 let () =
-  Alcotest.run "compile"
+  Alcotest.run "cache"
     [
-      ( "table",
-        [
-          prop_step_matches;
-          prop_run_matches;
-          prop_roundtrip;
-          prop_roundtrip_table;
-          prop_table_sensor;
-          prop_table_referees;
-        ] );
-      ( "compiled",
-        [
-          prop_compiled_user_transcript;
-          prop_cached_enum_equiv;
-          Alcotest.test_case "cache capacity knob" `Quick test_cache_capacity_env;
-        ] );
+      ("compiled", [ prop_cached_enum_equiv ]);
       ( "lru",
         [
           prop_lru_computes_once;
@@ -626,8 +516,11 @@ let () =
           prop_warm_roundtrip;
           prop_warm_record_lookup;
           prop_levin_hinted;
+          prop_warm_load_fuzz;
           Alcotest.test_case "corrupt & missing stores" `Quick
             test_warm_corrupt_and_missing;
+          Alcotest.test_case "atomic save & stale temp file" `Quick
+            test_warm_atomic_save;
           Alcotest.test_case "hint validation & tracing" `Quick
             test_warm_hint_validation;
           Alcotest.test_case "race replay from a warm hint" `Quick
