@@ -17,7 +17,8 @@ check: build test
 
 # Mirror of .github/workflows/ci.yml: build, test, trace smoke +
 # analytics, parallel smoke, chaos smoke, live-stats smoke, golden
-# drift, bench gate, serving-benchmark smoke.  Run before pushing.
+# drift, bench gate, serving-benchmark smoke (with the long_horizon
+# peak-heap guard).  Run before pushing.
 ci: check
 	dune exec bin/main.exe -- run e17 --jobs 2
 	GOALCOM_E19_TRIALS=10 dune exec bin/main.exe -- run e19 --jobs 2
@@ -42,8 +43,11 @@ ci: check
 	git diff --exit-code test/golden
 	BENCH_CHECK_ROUNDS=5 BENCH_CHECK_BUDGET=0.01 dune exec --profile release bench/main.exe -- --check
 	for w in storm open_ring long_horizon; do \
-	  python3 servebench/run.py --workload $$w --seed 0 --seconds 1 \
-	    | tail -1 | grep -q '"correct": true' || exit 1; \
+	  line=$$(python3 servebench/run.py --workload $$w --seed 0 --seconds 1 | tail -1); \
+	  echo "$$line" | grep -q '"correct": true' || exit 1; \
+	  if [ $$w = long_horizon ]; then \
+	    echo "$$line" | python3 -c 'import json, sys; mb = json.load(sys.stdin)["metrics"]["peak_heap_mb"]["value"]; print(f"long_horizon peak_heap_mb {mb:.2f} (limit 32)"); sys.exit(mb > 32)' || exit 1; \
+	  fi; \
 	done
 
 # Regenerates every experiment table, runs the bechamel kernels, and

@@ -41,8 +41,25 @@ val config : ?horizon:int -> ?drain:int -> ?world_choice:int -> unit -> config
 module Stepper : sig
   type t
 
+  (** What a stepper keeps of its rounds.
+
+      - [Full] appends every round to a {!History.Builder}; the finished
+        run is read with {!history}.  {!run} uses it (experiments,
+        transcripts, anything that inspects past rounds).
+      - [Summary] keeps no rounds: each round's world view goes into one
+        live referee judge ({!Outcome.Live}), and the finished run is
+        read with {!summary}.  A Summary stepper's memory does not grow
+        with its horizon (beyond the violation rounds of a compact goal
+        while a trace sink was ambient at {!create}); the session engine
+        uses it.
+
+      Both modes execute the same rounds, consume the same randomness
+      and emit the same trace events. *)
+  type retention = Full | Summary
+
   val create :
     ?config:config ->
+    ?retention:retention ->
     goal:Goal.t ->
     user:Strategy.user ->
     server:Strategy.server ->
@@ -50,14 +67,14 @@ module Stepper : sig
     t
   (** Split the RNG, instantiate the parties, emit [Run_start].  The
       run has executed zero rounds; no other events are emitted until
-      the first {!step}. *)
+      the first {!step}.  [retention] defaults to [Full]. *)
 
   val step : t -> bool
   (** Execute one round (or, if the termination condition already
-      holds, finalize: build the history and emit [Run_end]).  Returns
-      [true] while the run remains live, [false] once finished.
-      Calling [step] on a finished stepper is a no-op returning
-      [false]. *)
+      holds, finalize: freeze the history or the summary and emit
+      [Run_end]).  Returns [true] while the run remains live, [false]
+      once finished.  Calling [step] on a finished stepper is a no-op
+      returning [false]. *)
 
   val finished : t -> bool
 
@@ -74,11 +91,18 @@ module Stepper : sig
   val rounds_executed : t -> int
 
   val history : t -> History.t
-  (** The finished run's history.  @raise Invalid_argument while the
-      run is still live. *)
+  (** A finished [Full] run's history.  @raise Invalid_argument while
+      the run is still live, or on a [Summary] stepper. *)
+
+  val summary : t -> Outcome.t * Msg.t
+  (** A finished [Summary] run's outcome — {!Outcome.judge} of the run
+      under the default tail window, see {!Outcome.Live} for
+      [violation_rounds] — and its achieved view
+      ({!Outcome.Live.achieved_view}).  @raise Invalid_argument while the
+      run is still live, or on a [Full] stepper. *)
 
   val run_to_end : t -> History.t
-  (** Step until finished and return the history. *)
+  (** Step a [Full] stepper until finished and return the history. *)
 end
 
 val run :

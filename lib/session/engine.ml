@@ -14,6 +14,12 @@ module Fault = Goalcom_faults.Fault
    shared state happens in the sequential phase in a fixed order, the
    whole run is bit-identical across jobs counts.
 
+   Memory: sessions run Summary steppers, which keep no History — each
+   round's world view goes into one live referee judge (Outcome.Live),
+   so a running session's footprint does not grow with its horizon.
+   At completion the engine reads the stepper's summary: the outcome,
+   and the achieved view recorded as the session's goal state.
+
    Tracing: every session owns a buffer; its incarnations' run events
    are captured by installing a buffering sink around stepper creation
    and around each quantum, and the engine appends its own Supervise
@@ -238,8 +244,9 @@ let run ?(chaos = Chaos.none) ?(config = default_config) ?jobs ?(groups = [])
         let user = s.spec.make_user ~checkpoint:s.checkpoint in
         let server = Fault.apply s.fault s.spec.server in
         let stepper =
-          Exec.Stepper.create ~config:s.spec.exec_config ~goal:s.spec.goal
-            ~user ~server s.rng
+          Exec.Stepper.create ~config:s.spec.exec_config
+            ~retention:Exec.Stepper.Summary ~goal:s.spec.goal ~user ~server
+            s.rng
         in
         s.phase <- Running stepper)
   in
@@ -265,38 +272,16 @@ let run ?(chaos = Chaos.none) ?(config = default_config) ?jobs ?(groups = [])
       s.phase <- Backoff { due = tick + wait }
     end
   in
-  (* The achieved goal state: the earliest world view at which the
-     goal's referee accepts the prefix.  For the monotone finite
+  (* [view] is the stepper's achieved view: the first world view whose
+     prefix the goal's referee accepts.  For the monotone finite
      referees this is the view that achieved the goal — stable across
      restarts and scheduling, unlike the final view (worlds keep
-     evolving after achievement: pages clear, agents wander).  Falls
+     evolving after achievement: pages clear, agents wander).  It falls
      back to the last view when no prefix verdict is [`Ok] (compact
      referees judged at truncation). *)
-  let achieved_view (goal : Goal.t) history =
-    let init = History.initial_world_view history in
-    let len = History.length history in
-    (* Walk the same view sequence the list-based code walked: the
-       initial view again at position 0, then one view per round,
-       indexed straight out of the history's chunks. *)
-    let view_at j =
-      if j = 0 then init
-      else (History.round_exn history (j - 1)).History.Round.world_view
-    in
-    match Referee.start goal.Goal.referee init with
-    | _, `Ok -> init
-    | judge, `Violation ->
-        let rec go judge j =
-          if j > len then view_at len
-          else begin
-            let judge, verdict = Referee.step judge (view_at j) in
-            if verdict = `Ok then view_at j else go judge (j + 1)
-          end
-        in
-        go judge 0
-  in
-  let succeed s ~tick history =
+  let succeed s ~tick view =
     emit_breaker_change s ~tick (Breaker.record_success (breaker_of s));
-    let state = Msg.to_string (achieved_view s.spec.goal history) in
+    let state = Msg.to_string view in
     sup s ~tick "done"
       (Printf.sprintf "rounds=%d incarnations=%d" s.rounds_total
          s.incarnations);
@@ -311,6 +296,12 @@ let run ?(chaos = Chaos.none) ?(config = default_config) ?jobs ?(groups = [])
   let arrival_rng = Rng.split root in
   let arrival_state = Arrival.start config.arrivals in
   let tick = ref 0 in
+  (* The running set of each tick, in id order.  Every Running session
+     holds one of the [max_live] admission slots, so the buffer is
+     allocated once. *)
+  let running =
+    if n = 0 then [||] else Array.make (min n config.max_live) sessions.(0)
+  in
   (* One long-lived shard task per domain: oversubscribing domains
      past the hardware turns the minor-GC stop-the-world sync into
      pure overhead, so the pool width is clamped to the host (results
@@ -392,22 +383,26 @@ let run ?(chaos = Chaos.none) ?(config = default_config) ?jobs ?(groups = [])
            shard only advances steppers nothing else touches, trace
            events land in per-session buffers (replayed in id order),
            and the round-count bookkeeping is per-session too. *)
-        let running =
-          Array.of_list
-            (Array.to_list sessions
-            |> List.filter_map (fun s ->
-                   match s.phase with
-                   | Running st -> Some (s, st)
-                   | _ -> None))
-        in
-        let m = Array.length running in
+        let m = ref 0 in
+        Array.iter
+          (fun s ->
+            match s.phase with
+            | Running _ ->
+                running.(!m) <- s;
+                incr m
+            | _ -> ())
+          sessions;
+        let m = !m in
         let shards = min m width in
         let tasks =
           Array.init shards (fun k ->
               let lo = m * k / shards and hi = m * (k + 1) / shards in
               fun () ->
                 for i = lo to hi - 1 do
-                  let s, st = running.(i) in
+                  let s = running.(i) in
+                  let st =
+                    match s.phase with Running st -> st | _ -> assert false
+                  in
                   let before = Exec.Stepper.rounds_executed st in
                   let quantum () =
                     let rec go k =
@@ -453,18 +448,13 @@ let run ?(chaos = Chaos.none) ?(config = default_config) ?jobs ?(groups = [])
           (fun s ->
             (match s.phase with
             | Running st when Exec.Stepper.finished st ->
-                let history = Exec.Stepper.history st in
-                let outcome =
+                let outcome, view = Exec.Stepper.summary st in
+                if tracing then
                   with_session_sink s (fun () ->
-                      let outcome = Outcome.judge s.spec.goal history in
-                      if tracing then
-                        List.iter
-                          (fun round ->
-                            Trace.emit (Trace.Violation { round }))
-                          outcome.Outcome.violation_rounds;
-                      outcome)
-                in
-                if outcome.Outcome.achieved then succeed s ~tick history
+                      List.iter
+                        (fun round -> Trace.emit (Trace.Violation { round }))
+                        outcome.Outcome.violation_rounds);
+                if outcome.Outcome.achieved then succeed s ~tick view
                 else begin
                   sup s ~tick "fail"
                     (Printf.sprintf "unachieved after %d rounds" s.inc_rounds);
