@@ -43,13 +43,10 @@ let compact_incremental name ~init ~step =
    legacy call pattern: the predicate stops being consulted after the
    first hit, exactly like [List.exists]. *)
 let finite_exists name p =
+  let judged seen = if seen then (true, `Ok) else (false, `Violation) in
   finite_incremental name
-    ~init:(fun v0 ->
-      let seen = p v0 in
-      (seen, verdict_of_bool seen))
-    ~step:(fun seen v ->
-      let seen = seen || p v in
-      (seen, verdict_of_bool seen))
+    ~init:(fun v0 -> judged (p v0))
+    ~step:(fun seen v -> judged (seen || p v))
 
 let spawn_of_repr = function
   | Incr s -> s
@@ -79,8 +76,9 @@ let spawn_of_repr = function
               (views, verdict_of_bool (decide (List.rev views))));
         }
 
+(* [step] updates the judge in place and returns it. *)
 type judge =
-  | Judge : { s : 's; step : 's -> Msg.t -> 's * verdict } -> judge
+  | Judge : { mutable s : 's; step : 's -> Msg.t -> 's * verdict } -> judge
 
 let start t v0 =
   match spawn_of_repr t.repr with
@@ -90,9 +88,10 @@ let start t v0 =
 
 let step j v =
   match j with
-  | Judge { s; step } ->
-      let s, verdict = step s v in
-      (Judge { s; step }, verdict)
+  | Judge r ->
+      let s, verdict = r.step r.s v in
+      r.s <- s;
+      (j, verdict)
 
 (* One fold over the rounds: prime with the initial world view, absorb
    one world view per round, keep the last verdict. *)

@@ -76,7 +76,8 @@ val is_finite : t -> bool
 (** {2 Live judging} *)
 
 type judge
-(** One judging instance: feed it world views round by round. *)
+(** One judging instance: feed it world views round by round, linearly
+    (see {!step}). *)
 
 val start : t -> Msg.t -> judge * verdict
 (** Fresh judge primed with the initial world view; the verdict is the
@@ -84,7 +85,9 @@ val start : t -> Msg.t -> judge * verdict
 
 val step : judge -> Msg.t -> judge * verdict
 (** Absorb one round's world view; the verdict judges the prefix ending
-    at that round.  O(1) for native incremental referees; for the
+    at that round.  The judge is updated in place and returned, so a
+    judge must not be reused after it is stepped: keep only the judge
+    [step] returns.  O(1) for native incremental referees; for the
     list-predicate adapters it costs one predicate call (finite
     adapters re-decide the whole accumulated prefix). *)
 

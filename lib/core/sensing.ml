@@ -7,11 +7,11 @@ type verdict = Positive | Negative
    with different state shapes share one type; [last] is lazy so that
    spawning a sensor with effects in its empty-view verdict (e.g. an
    rng-drawing corruption wrapper) performs them only when the verdict
-   is actually read. *)
+   is actually read.  [observe] updates it in place. *)
 type state =
   | State : {
-      s : 's;
-      last : verdict Lazy.t;
+      mutable s : 's;
+      mutable last : verdict Lazy.t;
       step : 's -> View.event -> 's * verdict;
     }
       -> state
@@ -25,10 +25,12 @@ type t = {
 let start t = t.spawn ()
 
 let observe st e =
-  match st with
-  | State { s; step; last = _ } ->
-      let s, v = step s e in
-      State { s; last = Lazy.from_val v; step }
+  (match st with
+  | State r ->
+      let s, v = r.step r.s e in
+      r.s <- s;
+      r.last <- Lazy.from_val v);
+  st
 
 let verdict (State { last; _ }) = Lazy.force last
 
@@ -86,19 +88,18 @@ let of_latest ~name ~empty p =
           {
             s = ();
             last = Lazy.from_val empty_v;
-            step = (fun () e -> ((), judge e));
+            step = (fun () e -> if p e then ((), Positive) else ((), Negative));
           });
   }
 
 (* Positive iff some event within the last [window] satisfies [p]:
-   state is (events seen, index of the most recent hit). *)
+   state is (events seen, index of the most recent hit), updated in
+   place, and each instance preallocates its two (state, verdict)
+   results. *)
+type recent = { mutable seen : int; mutable last_hit : int (* 0 = none *) }
+
 let of_recent ~name ~window p =
   if window <= 0 then invalid_arg "Sensing.of_recent: window must be positive";
-  let verdict_of seen last_hit =
-    match last_hit with
-    | Some h when h > seen - window -> Positive
-    | _ -> Negative
-  in
   {
     name;
     sense =
@@ -108,15 +109,18 @@ let of_recent ~name ~window p =
         else Negative);
     spawn =
       (fun () ->
+        let r = { seen = 0; last_hit = 0 } in
+        let positive = (r, Positive) and negative = (r, Negative) in
         State
           {
-            s = (0, None);
+            s = r;
             last = Lazy.from_val Negative;
             step =
-              (fun (seen, last_hit) e ->
-                let seen = seen + 1 in
-                let last_hit = if p e then Some seen else last_hit in
-                ((seen, last_hit), verdict_of seen last_hit));
+              (fun r e ->
+                r.seen <- r.seen + 1;
+                if p e then r.last_hit <- r.seen;
+                if r.last_hit > 0 && r.last_hit > r.seen - window then positive
+                else negative);
           });
   }
 
@@ -129,7 +133,8 @@ let constant v =
     sense = (fun _ -> v);
     spawn =
       (fun () ->
-        State { s = (); last = Lazy.from_val v; step = (fun () _ -> ((), v)) });
+        let r = ((), v) in
+        State { s = (); last = Lazy.from_val v; step = (fun () _ -> r) });
   }
 
 let of_predicate ~name p =

@@ -42,8 +42,9 @@ type verdict = Positive | Negative
 type state
 (** A live incremental sensing instance.  Thread it linearly: feed each
     round's event with {!observe} and read the current verdict with
-    {!verdict}.  Instances may carry interior mutable buffers, so do not
-    fork an old [state] value after observing past it. *)
+    {!verdict}.  {!observe} may update its argument in place (as
+    {!tolerant}'s ring buffer always has), so a state must not be reused
+    after it is stepped: keep only the value {!observe} returns. *)
 
 type t = {
   name : string;
@@ -55,9 +56,11 @@ val start : t -> state
 (** Fresh instance; its verdict is the empty-view verdict. *)
 
 val observe : state -> View.event -> state
-(** Absorb one round's event.  O(1) for the native constructors below;
-    for {!make}-based sensors it costs one [sense] call (on the view
-    extended so far), the historical per-round price. *)
+(** Absorb one round's event.  Updates the state in place and returns
+    it, so the argument must not be reused afterwards.  O(1) for the
+    native constructors below; for {!make}-based sensors it costs one
+    [sense] call (on the view extended so far), the historical
+    per-round price. *)
 
 val verdict : state -> verdict
 (** Verdict on the prefix observed so far — O(1), no re-evaluation. *)

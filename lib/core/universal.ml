@@ -63,7 +63,7 @@ let memo_get m i =
    {!View.of_history} would build: the event for round r pairs the
    round-r sends with the observations the user acted on in round r.
    Sensing absorbs the completed rounds one event at a time. *)
-let pending_event ((obs : Io.User.obs), (act : Io.User.act)) =
+let pending_event (obs : Io.User.obs) (act : Io.User.act) =
   {
     View.round = obs.Io.User.round;
     from_server = obs.Io.User.from_server;
@@ -73,20 +73,34 @@ let pending_event ((obs : Io.User.obs), (act : Io.User.act)) =
     halted = false;
   }
 
+(* Placeholder for the pending round of a state that has none yet. *)
+let no_obs =
+  { Io.User.from_server = Msg.Silence; from_world = Msg.Silence; round = 0 }
+
+(* The candidate's act with its halt request suppressed (sensing
+   decides when to halt), copied only when there is one to clear. *)
+let unhalted (act : Io.User.act) =
+  if act.Io.User.halt then { act with Io.User.halt = false } else act
+
+(* Updated in place: one record per instance, built by [init]. *)
 type ('strat, 'inst) compact_state = {
   c_memo : 'strat memo;
-  c_index : int;
-  c_inst : 'inst;
+  mutable c_index : int;
+  mutable c_inst : 'inst;
   c_sense : Sensing.state;  (* has absorbed every completed round *)
-  c_pending : (Io.User.obs * Io.User.act) option;
-  c_rounds_in : int;  (* rounds the current strategy has run *)
-  c_attempt : int;  (* retries already spent on the current index *)
-  c_grace : int;
+  mutable c_pending : bool;
+      (* a round awaits sensing: the two below; its [from_world] is
+         also the previous world observation the wedge detector
+         compares against *)
+  mutable c_obs : Io.User.obs;
+  mutable c_act : Io.User.act;
+  mutable c_rounds_in : int;  (* rounds the current strategy has run *)
+  mutable c_attempt : int;  (* retries already spent on the current index *)
+  mutable c_grace : int;
       (* memoized [effective_grace c_index c_attempt] — recomputed only
          when index or attempt change, so the per-round path (patience
          check, Sense event) skips the cardinality division *)
-  c_last_world : Msg.t option;  (* previous from_world observation *)
-  c_stall : int;  (* consecutive rounds without world-view progress *)
+  mutable c_stall : int;  (* consecutive rounds without world-view progress *)
 }
 
 let compact ?(grace = 1) ?(growth = `Doubling) ?(retries = 0) ?wedge_after
@@ -145,22 +159,21 @@ let compact ?(grace = 1) ?(growth = `Doubling) ?(retries = 0) ?wedge_after
         c_index = start;
         c_inst = I.create (memo_get memo start);
         c_sense = Sensing.start sensing;
-        c_pending = None;
+        c_pending = false;
+        c_obs = no_obs;
+        c_act = Io.User.silent;
         c_rounds_in = 0;
         c_attempt = 0;
         c_grace = effective_grace start 0;
-        c_last_world = None;
         c_stall = 0;
       })
     ~step:(fun rng state (obs : Io.User.obs) ->
-      let sense_state =
-        match state.c_pending with
-        | None -> state.c_sense
-        | Some p -> Sensing.observe state.c_sense (pending_event p)
-      in
+      if state.c_pending then
+        ignore
+          (Sensing.observe state.c_sense (pending_event state.c_obs state.c_act));
       let verdict =
-        if state.c_pending = None then Sensing.Positive (* nothing to judge yet *)
-        else Sensing.verdict sense_state
+        if not state.c_pending then Sensing.Positive (* nothing to judge yet *)
+        else Sensing.verdict state.c_sense
       in
       (* Single sink lookup (this fires every round): fetch the sink
          once instead of the enabled-guard-then-emit double access. *)
@@ -182,81 +195,67 @@ let compact ?(grace = 1) ?(growth = `Doubling) ?(retries = 0) ?wedge_after
          the wedge window we force re-enumeration immediately instead
          of spinning out the remaining grace. *)
       let stall =
-        match state.c_last_world with
-        | Some prev when Msg.equal prev obs.Io.User.from_world ->
-            state.c_stall + 1
-        | _ -> 0
+        if
+          state.c_pending
+          && Msg.equal state.c_obs.Io.User.from_world obs.Io.User.from_world
+        then state.c_stall + 1
+        else 0
       in
       let wedged =
         match wedge_after with Some w -> stall >= w | None -> false
       in
-      let state, stall =
-        if
-          verdict = Sensing.Negative
-          && (state.c_rounds_in >= state.c_grace || wedged)
-        then begin
-          if (not wedged) && state.c_attempt < retries then begin
-            (* Retry the same index from scratch with doubled patience
-               before giving up on it. *)
-            if Trace.enabled () then
-              Trace.emit
-                (Trace.Switch
-                   {
-                     round = obs.Io.User.round;
-                     from_index = state.c_index;
-                     to_index = state.c_index;
-                     attempt = state.c_attempt + 1;
-                   });
-            ( {
-                state with
-                c_inst = I.create (memo_get state.c_memo state.c_index);
-                c_rounds_in = 0;
-                c_attempt = state.c_attempt + 1;
-                c_grace = effective_grace state.c_index (state.c_attempt + 1);
-              },
-              0 )
-          end
-          else begin
-            let index = state.c_index + 1 in
-            if Trace.enabled () then
-              Trace.emit
-                (Trace.Switch
-                   {
-                     round = obs.Io.User.round;
-                     from_index = state.c_index;
-                     to_index = index;
-                     attempt = 0;
-                   });
-            Option.iter
-              (fun s ->
-                s.switches <- s.switches + 1;
-                s.current_index <- index;
-                s.settled_round <- obs.Io.User.round)
-              stats;
-            Option.iter (fun c -> c.saved_index <- index) checkpoint;
-            ( {
-                state with
-                c_index = index;
-                c_inst = I.create (memo_get state.c_memo index);
-                c_rounds_in = 0;
-                c_attempt = 0;
-                c_grace = effective_grace index 0;
-              },
-              0 )
-          end
+      state.c_stall <- stall;
+      if
+        verdict = Sensing.Negative
+        && (state.c_rounds_in >= state.c_grace || wedged)
+      then begin
+        if (not wedged) && state.c_attempt < retries then begin
+          (* Retry the same index from scratch with doubled patience
+             before giving up on it. *)
+          if Trace.enabled () then
+            Trace.emit
+              (Trace.Switch
+                 {
+                   round = obs.Io.User.round;
+                   from_index = state.c_index;
+                   to_index = state.c_index;
+                   attempt = state.c_attempt + 1;
+                 });
+          state.c_attempt <- state.c_attempt + 1;
+          state.c_grace <- effective_grace state.c_index state.c_attempt
         end
-        else (state, stall)
-      in
-      let act = { (I.step rng state.c_inst obs) with Io.User.halt = false } in
-      ( {
-          state with
-          c_sense = sense_state;
-          c_pending = Some (obs, act);
-          c_rounds_in = state.c_rounds_in + 1;
-          c_last_world = Some obs.Io.User.from_world;
-          c_stall = stall;
-        },
-        act ))
+        else begin
+          let index = state.c_index + 1 in
+          if Trace.enabled () then
+            Trace.emit
+              (Trace.Switch
+                 {
+                   round = obs.Io.User.round;
+                   from_index = state.c_index;
+                   to_index = index;
+                   attempt = 0;
+                 });
+          Option.iter
+            (fun s ->
+              s.switches <- s.switches + 1;
+              s.current_index <- index;
+              s.settled_round <- obs.Io.User.round)
+            stats;
+          Option.iter (fun c -> c.saved_index <- index) checkpoint;
+          state.c_index <- index;
+          state.c_attempt <- 0;
+          state.c_grace <- effective_grace index 0
+        end;
+        state.c_inst <- I.create (memo_get state.c_memo state.c_index);
+        state.c_rounds_in <- 0;
+        state.c_stall <- 0
+      end;
+      let act = unhalted (I.step rng state.c_inst obs) in
+      state.c_pending <- true;
+      state.c_obs <- obs;
+      state.c_act <- act;
+      state.c_rounds_in <- state.c_rounds_in + 1;
+      (state, act))
 
 (* ---- The multicore Levin racer ---------------------------------- *)
 
@@ -393,13 +392,16 @@ let finite_par ?schedule ?(max_slots = 64) ?jobs ?pool ?config ~enum ~sensing
       }
   end
 
+(* Updated in place: one record per instance, built by [init]. *)
 type ('strat, 'inst) finite_state = {
   f_memo : 'strat memo;
-  f_sched : Levin.slot Seq.t;
-  f_current : (Levin.slot * 'inst) option;
-  f_used : int;  (* rounds consumed in the current session *)
+  mutable f_sched : Levin.slot Seq.t;
+  mutable f_current : (Levin.slot * 'inst) option;
+  mutable f_used : int;  (* rounds consumed in the current session *)
   f_sense : Sensing.state;  (* has absorbed every completed round *)
-  f_pending : (Io.User.obs * Io.User.act) option;
+  mutable f_pending : bool;  (* a round awaits sensing: the two below *)
+  mutable f_obs : Io.User.obs;
+  mutable f_act : Io.User.act;
 }
 
 let rec seq_drop n s =
@@ -440,17 +442,17 @@ let finite ?schedule ?checkpoint ?stats ~enum ~sensing () =
         f_current = None;
         f_used = 0;
         f_sense = Sensing.start sensing;
-        f_pending = None;
+        f_pending = false;
+        f_obs = no_obs;
+        f_act = Io.User.silent;
       })
     ~step:(fun rng state (obs : Io.User.obs) ->
-      let sense_state =
-        match state.f_pending with
-        | None -> state.f_sense
-        | Some p -> Sensing.observe state.f_sense (pending_event p)
-      in
+      if state.f_pending then
+        ignore
+          (Sensing.observe state.f_sense (pending_event state.f_obs state.f_act));
       let verdict =
-        if state.f_pending = None then Sensing.Negative (* nothing achieved yet *)
-        else Sensing.verdict sense_state
+        if not state.f_pending then Sensing.Negative (* nothing achieved yet *)
+        else Sensing.verdict state.f_sense
       in
       (match Trace.current () with
       | None -> ()
@@ -467,61 +469,54 @@ let finite ?schedule ?checkpoint ?stats ~enum ~sensing () =
                    | Some (slot, _) -> slot.Levin.budget
                    | None -> 0);
                }));
-      if verdict = Sensing.Positive then
-        ({ state with f_sense = sense_state; f_pending = None }, Io.User.halt_act)
+      if verdict = Sensing.Positive then begin
+        state.f_pending <- false;
+        (state, Io.User.halt_act)
+      end
       else begin
-        let state =
-          let session_over =
-            match state.f_current with
-            | None -> true
-            | Some (slot, _) -> state.f_used >= slot.Levin.budget
-          in
-          if not session_over then state
-          else begin
-            match state.f_sched () with
-            | Seq.Nil ->
-                invalid_arg "Universal.finite: schedule exhausted"
-            | Seq.Cons (slot, rest) ->
-                if Trace.enabled () then
-                  Trace.emit
-                    (Trace.Session
-                       {
-                         round = obs.Io.User.round;
-                         index = slot.Levin.index;
-                         budget = slot.Levin.budget;
-                       });
-                Option.iter
-                  (fun s ->
-                    s.sessions <- s.sessions + 1;
-                    s.switches <- s.switches + 1;
-                    s.current_index <- slot.Levin.index;
-                    s.settled_round <- obs.Io.User.round)
-                  stats;
-                Option.iter
-                  (fun c ->
-                    c.saved_slots <- c.saved_slots + 1;
-                    c.saved_index <- slot.Levin.index)
-                  checkpoint;
-                {
-                  state with
-                  f_sched = rest;
-                  f_current =
-                    Some (slot, I.create (memo_get state.f_memo slot.Levin.index));
-                  f_used = 0;
-                }
-          end
+        let session_over =
+          match state.f_current with
+          | None -> true
+          | Some (slot, _) -> state.f_used >= slot.Levin.budget
         in
+        if session_over then begin
+          match state.f_sched () with
+          | Seq.Nil -> invalid_arg "Universal.finite: schedule exhausted"
+          | Seq.Cons (slot, rest) ->
+              if Trace.enabled () then
+                Trace.emit
+                  (Trace.Session
+                     {
+                       round = obs.Io.User.round;
+                       index = slot.Levin.index;
+                       budget = slot.Levin.budget;
+                     });
+              Option.iter
+                (fun s ->
+                  s.sessions <- s.sessions + 1;
+                  s.switches <- s.switches + 1;
+                  s.current_index <- slot.Levin.index;
+                  s.settled_round <- obs.Io.User.round)
+                stats;
+              Option.iter
+                (fun c ->
+                  c.saved_slots <- c.saved_slots + 1;
+                  c.saved_index <- slot.Levin.index)
+                checkpoint;
+              state.f_sched <- rest;
+              state.f_current <-
+                Some (slot, I.create (memo_get state.f_memo slot.Levin.index));
+              state.f_used <- 0
+        end;
         let inst =
           match state.f_current with
           | Some (_, inst) -> inst
           | None -> assert false
         in
-        let act = { (I.step rng inst obs) with Io.User.halt = false } in
-        ( {
-            state with
-            f_sense = sense_state;
-            f_pending = Some (obs, act);
-            f_used = state.f_used + 1;
-          },
-          act )
+        let act = unhalted (I.step rng inst obs) in
+        state.f_pending <- true;
+        state.f_obs <- obs;
+        state.f_act <- act;
+        state.f_used <- state.f_used + 1;
+        (state, act)
       end)

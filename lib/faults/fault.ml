@@ -215,28 +215,28 @@ let burst ~p_enter ~p_exit ~drop_prob =
       (fun base ->
         Strategy.make
           ~name:(Printf.sprintf "burst(%.2f,%s)" drop_prob (Strategy.name base))
-          ~init:(fun () -> (I.create base, false))
-          ~step:(fun rng (inst, bad) (obs : Io.Server.obs) ->
-            let bad =
-              if bad then not (Rng.bernoulli rng p_exit)
-              else Rng.bernoulli rng p_enter
-            in
-            let zap dir m =
-              if bad && (not (Msg.is_silence m)) && Rng.bernoulli rng drop_prob
-              then begin
+          ~init:(fun () -> (I.create base, ref false))
+          ~step:(fun rng ((inst, bad) as st) (obs : Io.Server.obs) ->
+            bad :=
+              if !bad then not (Rng.bernoulli rng p_exit)
+              else Rng.bernoulli rng p_enter;
+            let zapped dir m =
+              !bad && (not (Msg.is_silence m)) && Rng.bernoulli rng drop_prob
+              && begin
                 emit_fault fname dir;
-                Msg.Silence
+                true
               end
-              else m
             in
             let obs =
-              { obs with
-                Io.Server.from_user = zap "inbound" obs.Io.Server.from_user }
+              if zapped "inbound" obs.Io.Server.from_user then
+                { obs with Io.Server.from_user = Msg.Silence }
+              else obs
             in
             let act = I.step rng inst obs in
-            ( (inst, bad),
-              { act with
-                Io.Server.to_user = zap "outbound" act.Io.Server.to_user } )));
+            ( st,
+              if zapped "outbound" act.Io.Server.to_user then
+                { act with Io.Server.to_user = Msg.Silence }
+              else act )));
   }
 
 (* Crash-restart: every [every] rounds the wrapped server's state is
@@ -254,17 +254,15 @@ let crash_restart ~every =
       (fun base ->
         Strategy.make
           ~name:(Printf.sprintf "crash(%d,%s)" every (Strategy.name base))
-          ~init:(fun () -> (I.create base, 0))
-          ~step:(fun rng (inst, age) obs ->
-            let age =
-              if age >= every then begin
-                emit_fault fname "restart";
-                I.restart inst;
-                0
-              end
-              else age
-            in
-            ((inst, age + 1), I.step rng inst obs)));
+          ~init:(fun () -> (I.create base, ref 0))
+          ~step:(fun rng ((inst, age) as st) obs ->
+            if !age >= every then begin
+              emit_fault fname "restart";
+              I.restart inst;
+              age := 0
+            end;
+            incr age;
+            (st, I.step rng inst obs)));
   }
 
 (* Intermittent helpfulness: [on] rounds of normal service, then [off]

@@ -13,6 +13,18 @@ let ints_opt = function
       go [] ms
   | _ -> None
 
+let ints_equal m xs =
+  match m with
+  | Msg.Seq ms ->
+      let rec go ms xs =
+        match (ms, xs) with
+        | [], [] -> true
+        | Msg.Int m :: ms, x :: xs -> m = x && go ms xs
+        | _ -> false
+      in
+      go ms xs
+  | _ -> false
+
 let pair_of_ints a b = Msg.Pair (ints a, ints b)
 
 let pair_of_ints_opt = function

@@ -9,6 +9,10 @@ val ints : int list -> Msg.t
 val ints_opt : Msg.t -> int list option
 (** Inverse of {!ints}. *)
 
+val ints_equal : Msg.t -> int list -> bool
+(** [ints_equal m xs] iff [m = ints xs], without decoding [m] or
+    allocating. *)
+
 val pair_of_ints : int list -> int list -> Msg.t
 (** [Pair (ints a, ints b)] — e.g. (document, page). *)
 

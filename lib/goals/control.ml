@@ -19,12 +19,16 @@ let check_params p =
   if p.bound <= 0 || p.limit <= p.bound || p.force <= 0 || p.max_drift < 0 then
     invalid_arg "Control: inconsistent parameters"
 
+(* The actuator's two command acts, shared by every actuator. *)
+let push_left = Io.Server.say_world (Msg.Sym left_cmd)
+let push_right = Io.Server.say_world (Msg.Sym right_cmd)
+
 let actuator ~alphabet =
   check_alphabet alphabet;
   Strategy.stateless ~name:"actuator" (fun (obs : Io.Server.obs) ->
       match obs.from_user with
-      | Msg.Sym c when c = left_cmd || c = right_cmd ->
-          Io.Server.say_world (Msg.Sym c)
+      | Msg.Sym c when c = left_cmd -> push_left
+      | Msg.Sym c when c = right_cmd -> push_right
       | _ -> Io.Server.silent)
 
 let server ~alphabet d = Transform.with_dialect d (actuator ~alphabet)
@@ -74,12 +78,13 @@ let goal ?(params = default_params) ~alphabet () =
 let informed_user ~alphabet d =
   check_alphabet alphabet;
   let send cmd = Io.User.say_server (Dialect_msg.encode d (Msg.Sym cmd)) in
+  let left = send left_cmd and right = send right_cmd in
   Strategy.stateless
     ~name:(Printf.sprintf "control-user@%s" (Format.asprintf "%a" Dialect.pp d))
     (fun (obs : Io.User.obs) ->
       match obs.from_world with
-      | Msg.Int plant -> if plant >= 0 then send left_cmd else send right_cmd
-      | _ -> send left_cmd)
+      | Msg.Int plant -> if plant >= 0 then left else right
+      | _ -> left)
 
 let user_class ~alphabet dialects =
   Enum.map

@@ -23,18 +23,28 @@ val driver : alphabet:int -> Strategy.server
 val server : alphabet:int -> Dialect.t -> Strategy.server
 val server_class : alphabet:int -> Dialect.t Enum.t -> Strategy.server Enum.t
 
-type scenario = {
+type scenario = private {
   grid : Grid.t;
   start : Grid.pos;
   target : Grid.pos;
+  plans : int list option array;
+      (** per cell [(x, y)], at index [y * width + x]: the plan
+          {!Grid.bfs_path} gives from that cell to [target]; [None] for
+          blocked cells.  Read it through {!plan}. *)
 }
 
 val scenario :
   ?blocked:(int * int) list ->
   width:int -> height:int -> start:Grid.pos -> target:Grid.pos -> unit ->
   scenario
-(** @raise Invalid_argument if start or target is not free, or the
+(** Builds the plan table too: one {!Grid.bfs_path} per free cell.
+    @raise Invalid_argument if start or target is not free, or the
     target is unreachable. *)
+
+val plan : scenario -> Grid.pos -> int list option
+(** [plan s p = Grid.bfs_path s.grid p s.target], read from the table
+    for a free cell [p] (and computed, so raising as [bfs_path] does,
+    otherwise). *)
 
 val world_of_scenario : scenario -> World.t
 (** State view: [Pair (Pair (position), Pair (target))]. *)
@@ -47,6 +57,11 @@ val informed_user : alphabet:int -> scenario:scenario -> Dialect.t -> Strategy.u
 
 val user_class :
   alphabet:int -> scenario:scenario -> Dialect.t Enum.t -> Strategy.user Enum.t
+
+val arrived : Msg.t -> bool
+(** The goal's predicate on a world view: the view is
+    [Pair (pos p, pos p)], the agent on the target.  Matched on the
+    message directly, without decoding it. *)
 
 val sensing : Sensing.t
 (** Positive iff some broadcast showed position = target. *)

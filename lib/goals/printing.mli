@@ -59,6 +59,11 @@ val user_class : alphabet:int -> Dialect.t Enum.t -> Strategy.user Enum.t
 (** One informed user per candidate dialect — the class enumerated by
     the universal strategies. *)
 
+val page_matched : Msg.t -> bool
+(** The goal's predicate on a world view: the view is
+    [Pair (ints doc, ints page)] with [doc] non-empty and equal to
+    [page].  Matched on the message directly, without decoding it. *)
+
 val sensing : Sensing.t
 (** Positive iff some world broadcast so far showed page = document.
     Monotone, hence safe by construction; viable for the dialect server

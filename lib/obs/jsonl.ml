@@ -11,26 +11,46 @@ open Goalcom
    allocations.  The byte-level format is pinned by the golden traces
    and by a qcheck test against a sprintf reference. *)
 
+let needs_escape c = c = '"' || c = '\\' || Char.code c < 0x20
+
+(* Names and details rarely need escaping: copy them whole when they
+   do not. *)
 let add_escaped b s =
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s
+  if not (String.exists needs_escape s) then Buffer.add_string b s
+  else
+    String.iter
+      (fun c ->
+        match c with
+        | '"' -> Buffer.add_string b "\\\""
+        | '\\' -> Buffer.add_string b "\\\\"
+        | '\n' -> Buffer.add_string b "\\n"
+        | '\r' -> Buffer.add_string b "\\r"
+        | '\t' -> Buffer.add_string b "\\t"
+        | c when Char.code c < 0x20 ->
+            Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
+        | c -> Buffer.add_char b c)
+      s
 
 let add_str b s =
   Buffer.add_char b '"';
   add_escaped b s;
   Buffer.add_char b '"'
 
-let add_int b n = Buffer.add_string b (string_of_int n)
+(* [string_of_int n]'s digits, written straight into the buffer: every
+   event carries a round number, and formatting it through a fresh
+   string was most of an event's rendering cost. *)
+let rec add_digits b n =
+  if n >= 10 then add_digits b (n / 10);
+  Buffer.add_char b (Char.unsafe_chr (48 + (n mod 10)))
+
+let add_int b n =
+  if n >= 0 then add_digits b n
+  else if n = min_int then Buffer.add_string b (string_of_int n)
+  else begin
+    Buffer.add_char b '-';
+    add_digits b (-n)
+  end
+
 let add_bool b v = Buffer.add_string b (if v then "true" else "false")
 
 (* The JSON-escaped form of [Msg.to_string msg], composed in one pass:

@@ -5,7 +5,12 @@
     through pairs and sequences, while payload values ([Int], [Text])
     pass through unchanged.  Symbols outside the dialect's range are
     left untouched (they belong to a different alphabet, e.g. status
-    codes). *)
+    codes).
+
+    Both directions return their argument, physically, when no symbol
+    changes, and rebuild only the [Pair]/[Seq] nodes above a changed
+    symbol — so a message without symbols crosses a dialect without
+    allocating. *)
 
 open Goalcom
 open Goalcom_automata

@@ -7,10 +7,14 @@ let with_dialect d base =
   Strategy.rename name
     (Strategy.map_obs
        (fun (obs : Io.Server.obs) ->
-         { obs with Io.Server.from_user = Dialect_msg.decode d obs.Io.Server.from_user })
+         let m = Dialect_msg.decode d obs.Io.Server.from_user in
+         if m == obs.Io.Server.from_user then obs
+         else { obs with Io.Server.from_user = m })
        (Strategy.map_act
           (fun (act : Io.Server.act) ->
-            { act with Io.Server.to_user = Dialect_msg.encode d act.Io.Server.to_user })
+            let m = Dialect_msg.encode d act.Io.Server.to_user in
+            if m == act.Io.Server.to_user then act
+            else { act with Io.Server.to_user = m })
           base))
 
 let dialect_class ~base dialects =

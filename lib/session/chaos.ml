@@ -67,20 +67,17 @@ let crash_storm ~every ~lo ~hi =
   Fault.make ~name:fname (fun base ->
       Strategy.make
         ~name:(Printf.sprintf "%s(%s)" fname (Strategy.name base))
-        ~init:(fun () -> (I.create base, 0, 0))
-        ~step:(fun rng (inst, age, round) obs ->
-          let round = round + 1 in
-          let in_window = round >= lo && round <= hi in
-          let age =
-            if in_window && age >= every then begin
-              emit_fault fname "restart";
-              I.restart inst;
-              0
-            end
-            else age
-          in
-          let age = if in_window then age + 1 else 0 in
-          ((inst, age, round), I.step rng inst obs)))
+        ~init:(fun () -> (I.create base, ref 0, ref 0))
+        ~step:(fun rng ((inst, age, round) as st) obs ->
+          incr round;
+          let in_window = !round >= lo && !round <= hi in
+          if in_window && !age >= every then begin
+            emit_fault fname "restart";
+            I.restart inst;
+            age := 0
+          end;
+          if in_window then incr age else age := 0;
+          (st, I.step rng inst obs)))
 
 (* Burst loss inside the window: non-silent messages in either
    direction are dropped with probability [prob].  Draws happen only
@@ -94,10 +91,10 @@ let burst_window ~prob ~lo ~hi =
   Fault.make ~name:fname (fun base ->
       Strategy.make
         ~name:(Printf.sprintf "%s(%s)" fname (Strategy.name base))
-        ~init:(fun () -> (I.create base, 0))
-        ~step:(fun rng (inst, round) obs ->
-          let round = round + 1 in
-          let in_window = round >= lo && round <= hi in
+        ~init:(fun () -> (I.create base, ref 0))
+        ~step:(fun rng ((inst, round) as st) obs ->
+          incr round;
+          let in_window = !round >= lo && !round <= hi in
           let obs =
             if
               in_window
@@ -121,7 +118,7 @@ let burst_window ~prob ~lo ~hi =
             end
             else act
           in
-          ((inst, round), act)))
+          (st, act)))
 
 (* Total outage inside the window: the server does not observe (state
    frozen, inbound lost) and emits silence — Fault.intermittent's off
