@@ -769,14 +769,14 @@ let chaos_run_cmd =
         | Some capacity ->
             let r = Goalcom_obs.Ring.create ~capacity in
             (* The engine replays its merged stream from this domain, so
-               the shard-bound fast path applies. *)
+               the shard-bound sink applies, and its encoded fast path
+               takes the engine's arena bytes without decoding them. *)
             let report = Trace.with_sink (Goalcom_obs.Ring.domain_sink r) go in
             evicted := Goalcom_obs.Ring.evicted r;
             (report, Some (Goalcom_obs.Ring.events r))
         | None ->
-            let buf = ref [] in
-            let report = Trace.with_sink (fun ev -> buf := ev :: !buf) go in
-            (report, Some (List.rev !buf))
+            let report, events = Goalcom_obs.Recorder.record go in
+            (report, Some events)
     in
     let first, events = once ~hooks:true () in
     print_report first;

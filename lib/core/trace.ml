@@ -63,9 +63,20 @@ type sink = event -> unit
    Fresh domains start with no sink — pool workers inherit nothing and
    install their own recorder per task. *)
 
-type dls = { mutable d_sink : sink option; mutable d_round : int }
+type encoded_sink = Bytes.t -> int -> int -> unit
 
-let dls_key = Domain.DLS.new_key (fun () -> { d_sink = None; d_round = 0 })
+(* [d_offer] is the encoded fast path a sink offered on this domain
+   (see [offer_encoded]): the sink closure is the ephemeron's key, so
+   the offer lives exactly as long as the sink it names — a dropped
+   ring is never kept alive by the slot. *)
+type dls = {
+  mutable d_sink : sink option;
+  mutable d_round : int;
+  mutable d_offer : (sink, encoded_sink) Ephemeron.K1.t option;
+}
+
+let dls_key =
+  Domain.DLS.new_key (fun () -> { d_sink = None; d_round = 0; d_offer = None })
 let[@inline] state () = Domain.DLS.get dls_key
 
 (* Pattern match, not [<> None]: the guard sits on every emission site
@@ -135,6 +146,19 @@ let with_sink s f =
       st.d_sink <- prev;
       st.d_round <- prev_round)
     f
+
+(* One slot per domain: the latest offer wins.  The installed sink
+   takes the fast path only while it is physically the offering
+   closure, so any wrapper (a tee, a timing shim) falls back to plain
+   event delivery. *)
+let offer_encoded s push =
+  (state ()).d_offer <- Some (Ephemeron.K1.make s push)
+
+let encoded () =
+  let st = state () in
+  match (st.d_sink, st.d_offer) with
+  | Some s, Some offer -> Ephemeron.K1.query offer s
+  | _ -> None
 
 let tee a b ev =
   a ev;

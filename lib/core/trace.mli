@@ -138,6 +138,29 @@ val handle_emit : handle -> event -> unit
 val handle_set_round : handle -> int -> unit
 val handle_round : handle -> int
 
+(** {1 The encoded fast path}
+
+    A sink that stores events in [Goalcom_obs.Binary]'s encoding (the
+    ring) can also accept an event already in that encoding, skipping
+    a decode and re-encode.  A producer holding encoded events (the
+    session engine's replay) asks {!encoded} and, when it answers,
+    pushes byte slices instead of events. *)
+
+type encoded_sink = Bytes.t -> int -> int -> unit
+(** [push buf off len]: the bytes [buf.[off .. off+len-1]] are exactly
+    one event in [Goalcom_obs.Binary]'s format.  The callee copies
+    what it keeps. *)
+
+val offer_encoded : sink -> encoded_sink -> unit
+(** [offer_encoded s push] declares, on the calling domain, that [push]
+    is [s]'s encoded form.  The domain keeps one offer (the latest),
+    held weakly: it never keeps [s] alive. *)
+
+val encoded : unit -> encoded_sink option
+(** The calling domain's offered fast path, if the installed ambient
+    sink is physically the closure that offered it; [None] otherwise
+    (no sink, a different sink, or a wrapper around the offering one). *)
+
 val tee : sink -> sink -> sink
 (** Both sinks, left first. *)
 

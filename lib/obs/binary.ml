@@ -321,20 +321,22 @@ let read_byte s pos =
   incr pos;
   c
 
-let read_uvarint s pos =
-  let rec go acc shift =
-    if shift > 56 then raise (Corrupt ("varint too long", !pos));
-    let c = read_byte s pos in
-    let acc = acc lor ((c land 0x7f) lsl shift) in
-    if c land 0x80 = 0 then acc else go acc (shift + 7)
-  in
-  go 0 0
+(* Top-level, not a local [let rec]: a local loop over [s] and [pos]
+   would allocate its closure on every varint read. *)
+let rec read_uvarint_from s pos acc shift =
+  if shift > 56 then raise (Corrupt ("varint too long", !pos));
+  let c = read_byte s pos in
+  let acc = acc lor ((c land 0x7f) lsl shift) in
+  if c land 0x80 = 0 then acc else read_uvarint_from s pos acc (shift + 7)
+
+let read_uvarint s pos = read_uvarint_from s pos 0 0
 
 let read_int s pos = unzigzag (read_uvarint s pos)
 
 let read_string s pos =
   let len = read_uvarint s pos in
-  if len < 0 || !pos + len > String.length s then
+  (* [len] may be near [max_int]: compare without adding to [!pos]. *)
+  if len < 0 || len > String.length s - !pos then
     raise (Corrupt ("truncated string", !pos));
   let str = String.sub s !pos len in
   pos := !pos + len;
@@ -462,3 +464,76 @@ let decode_all ?(pos = 0) s =
   go []
 
 let sink b ev = add_event b ev
+
+(* Reading back bytes this module wrote.  [iter] is the decode loop of
+   a trusted buffer (the session engine's per-session arenas): one
+   cursor for the whole slice, where [decode] would build an
+   [Ok (ev, pos)] pair per event. *)
+
+let iter f b len =
+  let s = Bytes.unsafe_to_string b in
+  if len < 0 || len > String.length s then invalid_arg "Binary.iter";
+  let cursor = ref 0 in
+  try
+    while !cursor < len do
+      f (read_event s cursor)
+    done;
+    if !cursor > len then raise (Corrupt ("event overruns slice", len))
+  with Corrupt (msg, at) -> failwith ("Binary.iter: " ^ describe msg at)
+
+(* The boundary finder mirrors [put_event] tag by tag and allocates
+   nothing: varints are skipped by their continuation bits, strings by
+   their length prefix.  It trusts its input — bytes written by
+   [put_event] — and only [Bytes.get]'s bounds check stands between a
+   corrupt buffer and a wrong offset. *)
+
+let rec skip_varint b p =
+  if Char.code (Bytes.get b p) land 0x80 = 0 then p + 1 else skip_varint b (p + 1)
+
+let rec uvarint_at b p acc shift =
+  let c = Char.code (Bytes.get b p) in
+  let acc = acc lor ((c land 0x7f) lsl shift) in
+  if c land 0x80 = 0 then acc else uvarint_at b (p + 1) acc (shift + 7)
+
+let skip_string b p =
+  let len = uvarint_at b p 0 0 in
+  skip_varint b p + len
+
+let rec skip_msg b p =
+  match Bytes.get b p with
+  | '\000' -> p + 1
+  | '\001' | '\002' -> skip_varint b (p + 1)
+  | '\003' -> skip_string b (p + 1)
+  | '\004' -> skip_msg b (skip_msg b (p + 1))
+  | '\005' -> skip_msgs b (skip_varint b (p + 1)) (uvarint_at b (p + 1) 0 0)
+  | _ -> invalid_arg "Binary.skip_event: bad message tag"
+
+and skip_msgs b p n = if n = 0 then p else skip_msgs b (skip_msg b p) (n - 1)
+
+let skip_event b p =
+  match Bytes.get b p with
+  | '\000' ->
+      let p = skip_string b (skip_string b (skip_string b (p + 1))) in
+      skip_varint b (skip_varint b (skip_varint b p))
+  | '\001' | '\003' | '\009' -> skip_varint b (p + 1)
+  | '\002' -> skip_msg b (skip_varint b (p + 1) + 2)
+  | '\004' ->
+      let p = skip_string b (skip_varint b (p + 1)) + 1 in
+      skip_varint b (skip_varint b p)
+  | '\005' ->
+      skip_varint b (skip_varint b (skip_varint b (skip_varint b (p + 1))))
+  | '\006' -> skip_varint b (skip_varint b (p + 1))
+  | '\007' -> skip_varint b (skip_varint b (skip_varint b (p + 1)))
+  | '\008' -> skip_string b (skip_string b (skip_varint b (p + 1)))
+  | '\010' -> skip_varint b (p + 1) + 1
+  | '\011' ->
+      skip_string b (skip_string b (skip_varint b (skip_varint b (p + 1))))
+  | '\012' ->
+      let p = skip_string b (skip_string b (p + 1)) in
+      skip_string b (skip_varint b p + 1)
+  | _ -> invalid_arg "Binary.skip_event: unknown event tag"
+
+let put_slice e b off len =
+  ensure e len;
+  Bytes.unsafe_blit b off e.ebuf e.epos len;
+  e.epos <- e.epos + len

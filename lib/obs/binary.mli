@@ -42,6 +42,10 @@ val put_event : enc -> Goalcom.Trace.event -> unit
 (** Append one event at the cursor without rewinding ({!Ring} keeps a
     whole shard's events in one cursor this way). *)
 
+val put_slice : enc -> Bytes.t -> int -> int -> unit
+(** [put_slice e b off len] appends [b.[off .. off+len-1]] verbatim —
+    an event some other cursor already encoded. *)
+
 val enc_bytes : enc -> Bytes.t
 val enc_len : enc -> int
 
@@ -66,3 +70,21 @@ val event_of_string : string -> (Goalcom.Trace.event, string) result
 
 val decode_all : ?pos:int -> string -> (Goalcom.Trace.event list, string) result
 (** Events back to back until the end of the string. *)
+
+(** {1 Reading back trusted buffers}
+
+    For bytes this module wrote itself (a cursor's {!enc_bytes}), such
+    as the session engine's per-session trace arenas. *)
+
+val skip_event : Bytes.t -> int -> int
+(** [skip_event b p] is the offset just past the event starting at [p]
+    — for well-formed input exactly {!decode}'s consumed offset.  It
+    allocates nothing.  @raise Invalid_argument on an unknown tag or a
+    read past the end of [b]; other corruption goes undetected. *)
+
+val iter : (Goalcom.Trace.event -> unit) -> Bytes.t -> int -> unit
+(** [iter f b len] decodes the events packed back to back in the first
+    [len] bytes of [b] (a cursor's {!enc_bytes} and {!enc_len}) and
+    applies [f] to each in order, reading through one cursor.  [b] must
+    not change while [iter] runs.  @raise Failure on corrupt bytes;
+    @raise Invalid_argument if [len] is out of range. *)

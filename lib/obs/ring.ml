@@ -1,8 +1,9 @@
 (* The always-on capture sink: a fixed-capacity ring of binary-encoded
    events, one shard per domain.
 
-   Emission path: append the event through Binary's cursor encoder
-   straight into the shard's arena — one growable Bytes.t holding the
+   Emission path: append the event through Binary's cursor encoder (or,
+   for an event that arrives already encoded, copy its bytes) straight
+   into the shard's arena — one growable Bytes.t holding the
    retained events back to back — and record the (offset, length) pair
    in a circular index.  No per-event allocation at all: the arena and
    index are reused for the life of the shard, so a ring that retains
@@ -93,10 +94,11 @@ let compact sh base =
   done;
   Binary.enc_set_len e retained
 
-let push_sh sh ev =
+(* Index the event just appended at [start] — by [push_sh] or
+   [push_encoded_sh] — evicting and compacting when full.  The one
+   copy of the slot bookkeeping both push paths share. *)
+let commit sh start =
   let e = sh.enc in
-  let start = Binary.enc_len e in
-  Binary.put_event e ev;
   let n = Binary.enc_len e - start in
   let cap = Array.length sh.offs in
   let i = sh.tail in
@@ -120,6 +122,18 @@ let push_sh sh ev =
   end
   else sh.len <- sh.len + 1
 
+let push_sh sh ev =
+  let start = Binary.enc_len sh.enc in
+  Binary.put_event sh.enc ev;
+  commit sh start
+
+(* An event some other cursor already encoded: copy its bytes in, no
+   decode and no re-encode. *)
+let push_encoded_sh sh b off len =
+  let start = Binary.enc_len sh.enc in
+  Binary.put_slice sh.enc b off len;
+  commit sh start
+
 let sink t ev = push_sh (Domain.DLS.get t.slot) ev
 
 (* The DLS lookup is the single biggest fixed cost left on the emission
@@ -127,10 +141,14 @@ let sink t ev = push_sh (Domain.DLS.get t.slot) ev
    time removes it.  Sound only because the returned closure is used
    from the domain that called [domain_sink] — which is exactly the
    single-domain shape of the engine replay, the chaos capture and the
-   bench harness. *)
+   bench harness.  The closure also offers its encoded form to Trace,
+   so a producer replaying encoded events (the session engine) into
+   exactly this sink copies bytes instead of decoding them. *)
 let domain_sink t =
   let sh = Domain.DLS.get t.slot in
-  fun ev -> push_sh sh ev
+  let sink ev = push_sh sh ev in
+  Goalcom.Trace.offer_encoded sink (push_encoded_sh sh);
+  sink
 
 (* Drain-side accessors.  These lock only the registry; they read shard
    fields without synchronisation, so call them when producers are
@@ -145,17 +163,22 @@ let length t = sum (fun sh -> sh.len) t
 let evicted t = sum (fun sh -> sh.evicted) t
 let domains t = with_shards t List.length
 
-let events t =
+let slots t =
   with_shards t
     (List.concat_map (fun sh ->
          let cap = Array.length sh.offs in
          let buf = Binary.enc_bytes sh.enc in
          List.init sh.len (fun k ->
              let i = (sh.head + k) mod cap in
-             let slice = Bytes.sub_string buf sh.offs.(i) sh.lens.(i) in
-             match Binary.event_of_string slice with
-             | Ok ev -> ev
-             | Error e -> failwith ("Ring.events: corrupt slot: " ^ e))))
+             Bytes.sub_string buf sh.offs.(i) sh.lens.(i))))
+
+let events t =
+  List.map
+    (fun slot ->
+      match Binary.event_of_string slot with
+      | Ok ev -> ev
+      | Error e -> failwith ("Ring.events: corrupt slot: " ^ e))
+    (slots t)
 
 let clear t =
   with_shards t

@@ -39,12 +39,23 @@ val domain_sink : t -> Goalcom.Trace.sink
     the per-event path skips the domain-local lookup.  The returned
     closure must only be invoked from the domain that created it; use
     it on single-domain capture paths (the engine replay, [chaos run],
-    the bench) and plain {!sink} everywhere else. *)
+    the bench) and plain {!sink} everywhere else.
+
+    The closure also offers a raw-slice push through
+    {!Goalcom.Trace.offer_encoded}: it stores one event given as its
+    {!Binary} encoding, copied verbatim, and leaves the shard exactly
+    as the closure would for the decoded event.  A producer holding
+    encoded events (the session engine's replay) gets it from
+    {!Goalcom.Trace.encoded} while this exact closure is the ambient
+    sink. *)
 
 val events : t -> Goalcom.Trace.event list
 (** Decode and concatenate all retained events.  @raise Failure on a
     corrupt slot (impossible unless the ring's memory was corrupted —
     slots are only ever written by {!sink}). *)
+
+val slots : t -> string list
+(** The retained events' raw encodings, in {!events} order. *)
 
 val length : t -> int
 (** Retained events, over all shards. *)

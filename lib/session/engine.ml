@@ -1,6 +1,7 @@
 open Goalcom_prelude
 open Goalcom
 module Fault = Goalcom_faults.Fault
+module Binary = Goalcom_obs.Binary
 
 (* The supervised concurrent session engine.
 
@@ -20,13 +21,17 @@ module Fault = Goalcom_faults.Fault
    At completion the engine reads the stepper's summary: the outcome,
    and the achieved view recorded as the session's goal state.
 
-   Tracing: every session owns a buffer; its incarnations' run events
-   are captured by installing a buffering sink around stepper creation
-   and around each quantum, and the engine appends its own Supervise
-   events directly.  The merged trace — buffers concatenated in
-   session-id order — is replayed into the ambient sink at the end, so
-   Trace.split_runs on one session's slice segments its incarnations
-   exactly as it does for the crash-resume harness. *)
+   Tracing: when a sink is installed, every session owns an arena —
+   an append-only buffer of events in Goalcom_obs.Binary's encoding.
+   Its capture sink, built once per session, is installed around
+   stepper creation and around each quantum, and the engine appends
+   its own Supervise events through it too.  The merged trace —
+   arenas concatenated in session-id order — is replayed into the
+   ambient sink at the end, so Trace.split_runs on one session's slice
+   segments its incarnations exactly as it does for the crash-resume
+   harness.  A sink that offers an encoded push (Ring.domain_sink)
+   receives each event's bytes as they are; any other sink receives
+   the decoded events. *)
 
 type spec = {
   sname : string;
@@ -137,6 +142,14 @@ type phase =
   | Backoff of { due : int }
   | Terminal of outcome
 
+(* A traced session's events, encoded, and the sink that appends to
+   them (built once, installed around every quantum). *)
+type trace = { arena : Binary.enc; capture : Trace.sink }
+
+let new_trace () =
+  let arena = Binary.enc_create 256 in
+  { arena; capture = Binary.put_event arena }
+
 type session = {
   id : int;
   spec : spec;
@@ -144,7 +157,7 @@ type session = {
   sup_rng : Rng.t; (* feeds backoff jitter *)
   checkpoint : Universal.checkpoint;
   fault : Fault.t; (* this session's chaos storm stack *)
-  buf : Trace.event list ref; (* per-session trace, reversed *)
+  trace : trace option; (* [Some] iff the run is traced *)
   mutable phase : phase;
   mutable incarnations : int;
   mutable failures : int;
@@ -182,7 +195,7 @@ let run ?(chaos = Chaos.none) ?(config = default_config) ?jobs ?(groups = [])
           sup_rng;
           checkpoint = Universal.new_checkpoint ();
           fault = Chaos.stack_for chaos ~id;
-          buf = ref [];
+          trace = (if tracing then Some (new_trace ()) else None);
           phase = Pending;
           incarnations = 0;
           failures = 0;
@@ -219,13 +232,12 @@ let run ?(chaos = Chaos.none) ?(config = default_config) ?jobs ?(groups = [])
     (match on_supervise with
     | Some f -> f ~tick ~session:s.id ~action ~detail
     | None -> ());
-    if tracing then
-      s.buf :=
-        Trace.Supervise { tick; session = s.id; action; detail } :: !(s.buf)
+    match s.trace with
+    | Some t -> t.capture (Trace.Supervise { tick; session = s.id; action; detail })
+    | None -> ()
   in
   let with_session_sink s f =
-    if tracing then Trace.with_sink (fun ev -> s.buf := ev :: !(s.buf)) f
-    else f ()
+    match s.trace with Some t -> Trace.with_sink t.capture f | None -> f ()
   in
   let emit_breaker_change s ~tick = function
     | None -> ()
@@ -414,11 +426,7 @@ let run ?(chaos = Chaos.none) ?(config = default_config) ?jobs ?(groups = [])
                     in
                     go config.quantum
                   in
-                  if tracing then
-                    Trace.with_sink
-                      (fun ev -> s.buf := ev :: !(s.buf))
-                      quantum
-                  else quantum ();
+                  with_session_sink s quantum;
                   let delta = Exec.Stepper.rounds_executed st - before in
                   s.inc_rounds <- s.inc_rounds + delta;
                   s.rounds_total <- s.rounds_total + delta
@@ -449,11 +457,12 @@ let run ?(chaos = Chaos.none) ?(config = default_config) ?jobs ?(groups = [])
             (match s.phase with
             | Running st when Exec.Stepper.finished st ->
                 let outcome, view = Exec.Stepper.summary st in
-                if tracing then
-                  with_session_sink s (fun () ->
-                      List.iter
-                        (fun round -> Trace.emit (Trace.Violation { round }))
-                        outcome.Outcome.violation_rounds);
+                (match s.trace with
+                | Some t ->
+                    List.iter
+                      (fun round -> t.capture (Trace.Violation { round }))
+                      outcome.Outcome.violation_rounds
+                | None -> ());
                 if outcome.Outcome.achieved then succeed s ~tick view
                 else begin
                   sup s ~tick "fail"
@@ -493,12 +502,30 @@ let run ?(chaos = Chaos.none) ?(config = default_config) ?jobs ?(groups = [])
         match s.phase with Terminal o -> o | _ -> assert false)
       sessions
   in
-  (* Replay the merged trace — session buffers in id order — into the
+  (* Replay the merged trace — session arenas in id order — into the
      ambient sink that was installed when the engine was entered. *)
-  if tracing then
+  if tracing then begin
+    let replay =
+      match Trace.encoded () with
+      | Some push ->
+          fun b len ->
+            let rec go p =
+              if p < len then begin
+                let q = Binary.skip_event b p in
+                push b p (q - p);
+                go q
+              end
+            in
+            go 0
+      | None -> Binary.iter (Trace.handle_emit (Trace.handle ()))
+    in
     Array.iter
-      (fun s -> List.iter Trace.emit (List.rev !(s.buf)))
-      sessions;
+      (fun s ->
+        Option.iter
+          (fun t -> replay (Binary.enc_bytes t.arena) (Binary.enc_len t.arena))
+          s.trace)
+      sessions
+  end;
   let count f = Array.fold_left (fun acc o -> if f o then acc + 1 else acc) 0 outcomes in
   let completed = count (function Done _ -> true | _ -> false) in
   let done_rounds =

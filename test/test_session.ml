@@ -1,6 +1,7 @@
 (* Tests for the supervised concurrent session engine: restart
    policies, circuit breakers, admission control, chaos-schedule
-   parsing, engine determinism across jobs counts, and the qcheck
+   parsing, engine determinism across jobs counts, the trace replay's
+   encoded and decoded paths agreeing, and the qcheck
    crash-restart equivalence property (a supervised session interrupted
    by kills reaches the same goal state as an uninterrupted run). *)
 
@@ -413,6 +414,48 @@ let test_engine_fairshare_deterministic () =
         d1 r.Engine.digest)
     [ ""; chaos_spec_small ]
 
+(* The engine replays its per-session trace arenas into the ambient
+   sink.  A ring's own [domain_sink] offers the encoded fast path, so
+   each event's bytes are copied in verbatim; a wrapper closure around
+   the same ring offers nothing, so events are decoded and re-encoded;
+   a Recorder receives decoded events.  All three must capture the same
+   stream (the two rings slot for slot, byte for byte, also once
+   eviction starts), and tracing must not move the outcome digest. *)
+let test_engine_trace_paths_agree () =
+  let module Ring = Goalcom_obs.Ring in
+  let run ~jobs () =
+    run_fairshare ~chaos:chaos_spec_small ~jobs ~seed:13 ()
+  in
+  List.iter
+    (fun jobs ->
+      let at what = Printf.sprintf "jobs=%d: %s" jobs what in
+      let untraced = (run ~jobs ()).Engine.digest in
+      let recorded, events = Goalcom_obs.Recorder.record (run ~jobs) in
+      Alcotest.(check string) (at "recorded digest") untraced recorded.Engine.digest;
+      let capture capacity ~fast =
+        let r = Ring.create ~capacity in
+        let sink = if fast then Ring.domain_sink r else fun ev -> Ring.sink r ev in
+        let report =
+          Trace.with_sink sink (fun () ->
+              Alcotest.(check bool) (at "fast path offered") fast
+                (Option.is_some (Trace.encoded ()));
+              run ~jobs ())
+        in
+        Alcotest.(check string) (at "ring digest") untraced report.Engine.digest;
+        r
+      in
+      let all = List.length events in
+      let fast = capture all ~fast:true and slow = capture all ~fast:false in
+      Alcotest.(check int) (at "nothing evicted") 0 (Ring.evicted fast);
+      Alcotest.(check bool) (at "fast ring = recorder") true (Ring.events fast = events);
+      Alcotest.(check bool) (at "decode ring = recorder") true (Ring.events slow = events);
+      Alcotest.(check (list string)) (at "slots") (Ring.slots slow) (Ring.slots fast);
+      let fast = capture 97 ~fast:true and slow = capture 97 ~fast:false in
+      Alcotest.(check int) (at "evicted") (all - 97) (Ring.evicted fast);
+      Alcotest.(check int) (at "evicted alike") (Ring.evicted slow) (Ring.evicted fast);
+      Alcotest.(check (list string)) (at "tail slots") (Ring.slots slow) (Ring.slots fast))
+    [ 1; 2; 4 ]
+
 let test_engine_fairshare_completes () =
   let r = run_fairshare ~jobs:2 ~seed:31 () in
   Alcotest.(check int) "all done" 18 r.Engine.completed;
@@ -496,6 +539,7 @@ let suite =
     ("engine fair-share deterministic", `Quick, test_engine_fairshare_deterministic);
     ("engine fair-share completes", `Quick, test_engine_fairshare_completes);
     ("engine arrivals compat", `Quick, test_engine_arrivals_compat);
+    ("engine trace paths agree", `Quick, test_engine_trace_paths_agree);
     QCheck_alcotest.to_alcotest prop_crash_restart_reaches_same_state;
   ]
 

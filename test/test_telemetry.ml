@@ -1,6 +1,7 @@
 (* Telemetry-layer tests: the binary event codec (qcheck roundtrips,
-   including adversarial Text payloads), the ring sink's wrap/eviction/
-   compaction behaviour, the ring-vs-JSONL capture acceptance on a real
+   including adversarial Text payloads; the boundary finder and decode
+   fuzzing), the ring sink's wrap/eviction/compaction behaviour and its
+   raw-slice push, the ring-vs-JSONL capture acceptance on a real
    supervised run, Rollup merge determinism across jobs counts, and the
    golden stats snapshot frozen by `goalcom trace-golden`. *)
 
@@ -164,6 +165,75 @@ let test_binary_rejects_garbage () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "truncated event decoded"
 
+(* The boundary finder walks an arena the way the engine's replay does:
+   each step must land exactly where [decode] stops, and [iter]'s one-
+   cursor loop must yield what [decode_all] does. *)
+let prop_binary_skip_matches_decode =
+  QCheck.Test.make ~count:qcount
+    ~name:"Binary: skip_event ends where decode does; iter = decode_all"
+    QCheck.(make ~print:(fun evs -> String.concat "\n" (List.map Goalcom_obs.Jsonl.event_to_json evs))
+              QCheck.Gen.(list_size (0 -- 12) event_gen))
+    (fun evs ->
+      let e = Binary.enc_create 16 in
+      List.iter (Binary.put_event e) evs;
+      let b = Binary.enc_bytes e and len = Binary.enc_len e in
+      let s = Bytes.sub_string b 0 len in
+      let rec walk p =
+        if p >= len then p = len
+        else
+          match Binary.decode ~pos:p s with
+          | Error err -> QCheck.Test.fail_report ("decode failed: " ^ err)
+          | Ok (_, q) ->
+              let q' = Binary.skip_event b p in
+              if q' <> q then
+                QCheck.Test.fail_reportf "at %d: skip_event %d, decode %d" p q' q
+              else walk q
+      in
+      let decoded = ref [] in
+      Binary.iter (fun ev -> decoded := ev :: !decoded) b len;
+      walk 0 && List.rev !decoded = evs)
+
+(* Fuzz: [decode] on arbitrary bytes — raw noise, and valid encodings
+   with a byte overwritten or the tail cut — answers [Ok] or [Error];
+   it never raises. *)
+let fuzz_bytes_gen =
+  QCheck.Gen.(
+    oneof
+      [
+        raw_string_gen;
+        map3
+          (fun ev at byte ->
+            let s = Bytes.of_string (Binary.event_to_string ev) in
+            Bytes.set s (at mod Bytes.length s) (Char.chr byte);
+            Bytes.to_string s)
+          event_gen nat (0 -- 255);
+        map2
+          (fun ev cut ->
+            let s = Binary.event_to_string ev in
+            String.sub s 0 (cut mod String.length s))
+          event_gen nat;
+      ])
+
+let prop_binary_decode_never_raises =
+  QCheck.Test.make ~count:(qcount * 5)
+    ~name:"Binary: decode of arbitrary bytes is Ok or Error, never raises"
+    QCheck.(make ~print:String.escaped fuzz_bytes_gen)
+    (fun s ->
+      match (Binary.decode s, Binary.decode_all s) with
+      | (Ok _ | Error _), (Ok _ | Error _) -> true
+      | exception e ->
+          QCheck.Test.fail_reportf "raised %s" (Printexc.to_string e))
+
+(* A Fault (tag 8) whose detail string claims [max_int] bytes (nine
+   varint groups, bit 62 clear): the bounds check must not overflow
+   into a [String.sub] that raises. *)
+let test_binary_huge_length_is_error () =
+  let s = "\008\002\001f" ^ "\255\255\255\255\255\255\255\255\063" ^ "xy" in
+  match Binary.decode s with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "enormous string length decoded"
+  | exception e -> Alcotest.failf "raised %s" (Printexc.to_string e)
+
 (* --- Ring wrap / eviction / compaction -------------------------------- *)
 
 let ev_of_int i =
@@ -217,6 +287,60 @@ let test_ring_compaction_preserves_tail () =
       Alcotest.failf "batch %d: tail mismatch after compaction" batch
   done;
   Alcotest.(check int) "evicted" (5000 - cap) (Ring.evicted r)
+
+(* The raw-slice push shares the event push's index, eviction and
+   compaction: pushing the encodings of a stream leaves the ring
+   exactly as pushing the events does, byte for byte, at every
+   checkpoint.  The stream is long enough that at each capacity the
+   evicted bytes outgrow the retained ones plus the 4096-byte slack,
+   which forces at least one arena compaction (asserted below). *)
+let test_ring_encoded_push_matches_event_push () =
+  let n = 12_000 in
+  let evs =
+    QCheck.Gen.generate ~rand:(Random.State.make [| 17 |]) ~n event_gen
+  in
+  let e = Binary.enc_create 16 in
+  let slices =
+    List.map
+      (fun ev ->
+        let start = Binary.enc_len e in
+        Binary.put_event e ev;
+        (start, Binary.enc_len e - start))
+      evs
+  in
+  let b = Binary.enc_bytes e in
+  List.iter
+    (fun capacity ->
+      let by_event = Ring.create ~capacity and by_slice = Ring.create ~capacity in
+      (* The raw push is reachable only as [domain_sink]'s offer. *)
+      let push =
+        let sink = Ring.domain_sink by_slice in
+        match Trace.with_sink sink Trace.encoded with
+        | Some push -> push
+        | None -> Alcotest.fail "Ring.domain_sink offers no encoded push"
+      in
+      List.iteri
+        (fun k (ev, (off, len)) ->
+          Ring.sink by_event ev;
+          push b off len;
+          if (k + 1) mod 1000 = 0 then begin
+            let at what =
+              Printf.sprintf "capacity %d, %d pushed: %s" capacity (k + 1) what
+            in
+            Alcotest.(check int) (at "length") (Ring.length by_event) (Ring.length by_slice);
+            Alcotest.(check int) (at "evicted") (Ring.evicted by_event) (Ring.evicted by_slice);
+            Alcotest.(check (list string)) (at "slots") (Ring.slots by_event) (Ring.slots by_slice);
+            Alcotest.(check bool) (at "events") true (Ring.events by_event = Ring.events by_slice)
+          end)
+        (List.combine evs slices);
+      Alcotest.(check int) "evicted" (n - capacity) (Ring.evicted by_slice);
+      let retained =
+        List.fold_left (fun acc s -> acc + String.length s) 0 (Ring.slots by_slice)
+      in
+      let dead = Binary.enc_len e - retained in
+      if dead <= retained + 4096 then
+        Alcotest.failf "capacity %d: %d dead bytes never force a compaction" capacity dead)
+    [ 1; 7; 4096 ]
 
 (* --- Capture acceptance: ring vs JSONL on a supervised run ------------ *)
 
@@ -353,12 +477,18 @@ let suite =
     QCheck_alcotest.to_alcotest prop_binary_cursor_slices;
     Alcotest.test_case "binary rejects garbage" `Quick
       test_binary_rejects_garbage;
+    QCheck_alcotest.to_alcotest prop_binary_skip_matches_decode;
+    QCheck_alcotest.to_alcotest prop_binary_decode_never_raises;
+    Alcotest.test_case "binary huge string length" `Quick
+      test_binary_huge_length_is_error;
     Alcotest.test_case "ring retains before wrap" `Quick
       test_ring_retains_before_wrap;
     Alcotest.test_case "ring wraps to last capacity" `Quick
       test_ring_wraps_to_last_capacity;
     Alcotest.test_case "ring compaction preserves tail" `Quick
       test_ring_compaction_preserves_tail;
+    Alcotest.test_case "ring encoded push = event push" `Quick
+      test_ring_encoded_push_matches_event_push;
     Alcotest.test_case "ring matches jsonl capture" `Quick
       test_ring_matches_jsonl_capture;
     Alcotest.test_case "rollup deterministic across jobs" `Quick
