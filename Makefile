@@ -1,6 +1,6 @@
 # Tier-1 verification in one command: `make check`.
 
-.PHONY: all build test check ci bench bench-par bench-sense bench-session bench-sched bench-compile bench-trace bench-net bench-check clean
+.PHONY: all build test check ci bench bench-sched bench-check clean
 
 all: build
 
@@ -58,8 +58,8 @@ ci: check
 	done
 
 # Regenerates every experiment table, runs the bechamel kernels, and
-# rewrites the BENCH_*.json baselines (fault-layer timings, tracing
-# overhead, parallel scaling) that `bench-check` gates against.
+# rewrites every BENCH_*.json: the fault-layer timings and each gated
+# part's baseline that `bench-check` gates against.
 #
 # All bench targets build with --profile release: the dev profile
 # compiles with -opaque, which disables cross-module inlining and
@@ -69,24 +69,13 @@ ci: check
 bench:
 	dune exec --profile release bench/main.exe
 
-# Rewrites just BENCH_par.json: the E17 workloads at jobs 1/2/4, with
-# the determinism digests re-checked.
-bench-par:
-	BENCH_ONLY=par dune exec --profile release bench/main.exe
-
-# Rewrites just BENCH_sense.json: the incremental judge/sensing kernels
-# at horizons 1k/4k/16k, including the legacy-prefix quadratic baseline
-# the >= 10x speedup gate compares against.
-bench-sense:
-	BENCH_ONLY=sense dune exec --profile release bench/main.exe
-
-# Rewrites just BENCH_session.json: the supervised session engine over
-# the storm and overload conditions at jobs 1/4, with the cross-jobs
-# determinism digests re-checked.  BENCH_SESSION_SESSIONS scales the
-# population (default 10000) — only commit a default-scale file, since
-# the gate re-runs at the same scale and pins the counts exactly.
-bench-session:
-	BENCH_ONLY=session dune exec --profile release bench/main.exe
+# Rewrites one part's BENCH_<part>.json: `make bench-trace`, bench-par,
+# bench-sense, bench-session, bench-compile or bench-net.  An unknown
+# part exits 2 and lists the valid ones.  BENCH_SESSION_SESSIONS
+# scales the session population (default 10000) — only commit a
+# default-scale file, since the gate re-runs at the same scale and
+# pins the counts exactly.
+bench-%: ; BENCH_ONLY=$* dune exec --profile release bench/main.exe
 
 # Scheduling smoke: the fair-share engine under Poisson arrivals with
 # weighted admission classes must report bit-identical outcome digests
@@ -107,33 +96,9 @@ bench-sched:
 	echo "bench-sched: jobs 1/2/4 $$(cat /tmp/sched-1.digest) identical"
 	BENCH_CHECK_ROUNDS=5 BENCH_CHECK_BUDGET=0.01 dune exec --profile release bench/main.exe -- --check
 
-# Rewrites just BENCH_compile.json: a 512-slot Levin prefix walked
-# over the machine-user class behind Enum.cached ("compiled") vs with
-# a fresh decode per slot ("uncompiled"), with the decode LRU hit
-# rate — the >= 3x speedup and <= 10% miss gates compare against it.
-bench-compile:
-	BENCH_ONLY=compile dune exec --profile release bench/main.exe
-
-# Rewrites just BENCH_trace.json: the tracing-overhead table on the
-# compact control kernel (no sink / null / metrics / binary ring /
-# jsonl), whose ring and null rows the gate pins against hard
-# absolute thresholds.
-bench-trace:
-	BENCH_ONLY=trace dune exec --profile release bench/main.exe
-
-# Rewrites just BENCH_net.json: the network goal family — topology
-# delivery rounds, ARQ forwarding failure counts under fault stacks,
-# and the shared-medium contention populations at 2/4/8 users with
-# the cross-jobs determinism digests re-checked.  Every count is
-# deterministic and gated at zero tolerance; only wall clocks are
-# loose.
-bench-net:
-	BENCH_ONLY=net dune exec --profile release bench/main.exe
-
-# The perf-regression gate: quick re-measure, compare against the
-# committed BENCH_trace.json + BENCH_par.json + BENCH_sense.json +
-# BENCH_session.json + BENCH_compile.json + BENCH_net.json, write
-# BENCH_check.json, exit 1 on any regression.
+# The perf-regression gate: quick re-measure of every part, compare
+# against its committed BENCH_<part>.json, write BENCH_check.json,
+# exit 1 on any regression.
 bench-check:
 	dune exec --profile release bench/main.exe -- --check
 

@@ -3,9 +3,8 @@ open Goalcom_prelude
 (* The perf-regression gate: compare a fresh benchmark run against the
    committed BENCH_*.json baselines, metric by metric, with per-metric
    tolerances, and render a machine-readable verdict.  `bench --check`
-   drives this in CI; the comparison logic lives here so the test suite
-   can exercise the gate (identical metrics pass, a synthetically
-   injected 50% regression fails) without running a benchmark.
+   drives this in CI; the logic lives here so the test suite can
+   exercise it without running a benchmark.
 
    Tolerance policy: relative metrics (names ending in "_pct", e.g. the
    tracing-overhead percentages) transfer across machines and get the
@@ -18,10 +17,6 @@ open Goalcom_prelude
 
 type metric = { name : string; value : float }
 
-let has_suffix suf name =
-  let n = String.length name and m = String.length suf in
-  n >= m && String.sub name (n - m) m = suf
-
 type comparison = {
   metric : string;
   baseline : float;
@@ -31,8 +26,9 @@ type comparison = {
   regressed : bool;
 }
 
-let default_tol_pct name = if has_suffix "_pct" name then 35. else 300.
-let default_slack name = if has_suffix "_pct" name then 10. else 0.
+let is_pct = String.ends_with ~suffix:"_pct"
+let default_tol_pct name = if is_pct name then 35. else 300.
+let default_slack name = if is_pct name then 10. else 0.
 
 (* A fresh value regresses when it exceeds the baseline by more than
    the relative tolerance AND by more than the absolute slack; lower is
@@ -59,58 +55,72 @@ let compare_metrics ?(tol_pct = default_tol_pct) ?(slack = default_slack)
             })
     fresh
 
+let mem name ms = List.exists (fun (m : metric) -> m.name = name) ms
+
+(* One part's gate: the baseline's metrics, minus any name a hard gate
+   owns, drift with the part's tolerances; the hard gates are judged at
+   zero tolerance, so a fresh value above the threshold fails however
+   the committed file reads.  A gate no fresh metric answers is an
+   error, not a skip: a renamed variant would otherwise drop its
+   ceiling while the verdict still said pass. *)
+let check ?tol_pct ?slack ~gates ~baseline ~fresh () =
+  match List.find_opt (fun g -> not (mem g.name fresh)) gates with
+  | Some g -> Error (Printf.sprintf "hard gate %S matches no fresh metric" g.name)
+  | None ->
+      let soft = List.filter (fun m -> not (mem m.name gates)) baseline in
+      let zero _ = 0. in
+      Ok
+        (compare_metrics ?tol_pct ?slack ~baseline:soft ~fresh ()
+        @ compare_metrics ~tol_pct:zero ~slack:zero ~baseline:gates ~fresh ())
+
 let regressions = List.filter (fun c -> c.regressed)
 
-(* Baseline extraction.  Both BENCH files share the shape
-   { ..scalars.., "results": [ {"name": .., <numeric fields>..}, .. ] };
-   every numeric field of a results entry becomes "<name>/<field>", and
-   top-level "*_pct" scalars come along under their own key. *)
+(* The BENCH file: {"name": part, "host": {..}, "metrics": [{"name",
+   "value"}, ..]}.  Only "metrics" is read back; "host" is provenance
+   for a human reader. *)
+
+let to_json ~name ~host metrics =
+  Json.Obj
+    [
+      ("name", Json.String name);
+      ("host", Json.Obj host);
+      ( "metrics",
+        Json.List
+          (List.map
+             (fun m ->
+               Json.Obj
+                 [ ("name", Json.String m.name); ("value", Json.Float m.value) ])
+             metrics) );
+    ]
 
 let metrics_of_json j =
-  let top =
-    match j with
-    | Json.Obj kvs ->
-        List.filter_map
-          (fun (k, v) ->
-            match Json.number_opt v with
-            | Some value when has_suffix "_pct" k -> Some { name = k; value }
-            | _ -> None)
-          kvs
-    | _ -> []
+  let metric entry =
+    match
+      ( Option.bind (Json.member "name" entry) Json.string_opt,
+        Option.bind (Json.member "value" entry) Json.number_opt )
+    with
+    | Some name, Some value when Float.is_finite value -> Ok { name; value }
+    | _ -> Error "a metric needs a string \"name\" and a finite \"value\""
   in
-  let results =
-    match Json.member "results" j with
-    | Some (Json.List entries) ->
-        List.concat_map
-          (fun entry ->
-            match Json.member "name" entry with
-            | Some (Json.String base) -> begin
-                match entry with
-                | Json.Obj kvs ->
-                    List.filter_map
-                      (fun (k, v) ->
-                        if k = "name" then None
-                        else
-                          Option.map
-                            (fun value -> { name = base ^ "/" ^ k; value })
-                            (Json.number_opt v))
-                      kvs
-                | _ -> []
-              end
-            | _ -> [])
-          entries
-    | _ -> []
-  in
-  top @ results
+  match Option.bind (Json.member "metrics" j) Json.list_opt with
+  | None | Some [] -> Error "no \"metrics\" list"
+  | Some entries ->
+      let rec go ms = function
+        | [] -> Ok (List.rev ms)
+        | entry :: rest -> (
+            match metric entry with
+            | Error _ as e -> e
+            | Ok m when mem m.name ms ->
+                Error (Printf.sprintf "duplicate metric %S" m.name)
+            | Ok m -> go (m :: ms) rest)
+      in
+      go [] entries
 
 let load_file path =
-  match Json.of_file path with
-  | Error e -> Error e
-  | Ok j -> begin
-      match metrics_of_json j with
-      | [] -> Error (Printf.sprintf "%s: no gateable metrics found" path)
-      | ms -> Ok ms
-    end
+  Result.bind (Json.of_file path) (fun j ->
+      Result.map_error
+        (fun e -> Printf.sprintf "%s: %s" path e)
+        (metrics_of_json j))
 
 (* Rendering. *)
 
@@ -131,34 +141,23 @@ let table comparisons =
     ~columns:[ "metric"; "baseline"; "fresh"; "tol"; "status" ]
     rows
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let verdict_json comparisons =
   let regs = regressions comparisons in
   let entry c =
-    Printf.sprintf
-      "    {\"metric\": \"%s\", \"baseline\": %.4f, \"fresh\": %.4f, \
-       \"tol_pct\": %.1f, \"regressed\": %b}"
-      (json_escape c.metric) c.baseline c.fresh c.tol_pct c.regressed
+    Json.Obj
+      [
+        ("metric", Json.String c.metric);
+        ("baseline", Json.Float c.baseline);
+        ("fresh", Json.Float c.fresh);
+        ("tol_pct", Json.Float c.tol_pct);
+        ("regressed", Json.Bool c.regressed);
+      ]
   in
-  Printf.sprintf
-    "{\n\
-    \  \"verdict\": \"%s\",\n\
-    \  \"compared\": %d,\n\
-    \  \"regressed\": %d,\n\
-    \  \"comparisons\": [\n%s\n  ]\n\
-     }"
-    (if regs = [] then "pass" else "fail")
-    (List.length comparisons) (List.length regs)
-    (String.concat ",\n" (List.map entry comparisons))
+  Json.to_string
+    (Json.Obj
+       [
+         ("verdict", Json.String (if regs = [] then "pass" else "fail"));
+         ("compared", Json.Int (List.length comparisons));
+         ("regressed", Json.Int (List.length regs));
+         ("comparisons", Json.List (List.map entry comparisons));
+       ])

@@ -43,19 +43,41 @@ val compare_metrics :
     metrics present on only one side are skipped (a fresh smoke run may
     legitimately measure a subset). *)
 
+val check :
+  ?tol_pct:(string -> float) ->
+  ?slack:(string -> float) ->
+  gates:metric list ->
+  baseline:metric list ->
+  fresh:metric list ->
+  unit ->
+  (comparison list, string) result
+(** One part's gate.  The baseline's metrics, minus any name in [gates],
+    are compared with {!compare_metrics} at the part's tolerances; each
+    of [gates] is a hard threshold compared at zero tolerance and zero
+    slack.  [Error] when a gate matches no fresh metric, so a renamed
+    metric cannot drop its ceiling silently. *)
+
 val regressions : comparison list -> comparison list
 
-val metrics_of_json : Json.t -> metric list
-(** Extraction from the BENCH file shape
-    [{ ..scalars.., "results": [ {"name": n, <numeric fields>..}, ..]}]:
-    each numeric field of a results entry becomes ["n/field"], and
-    top-level ["*_pct"] scalars come along under their own key. *)
+(** {1 The BENCH file}
+
+    Every [BENCH_*.json] has one shape:
+    [{"name": part, "host": {..}, "metrics": [{"name": n, "value": v}, ..]}].
+    Only ["metrics"] is read back; ["host"] is provenance. *)
+
+val to_json : name:string -> host:(string * Json.t) list -> metric list -> Json.t
+
+val metrics_of_json : Json.t -> (metric list, string) result
+(** The ["metrics"] list.  [Error] when it is missing or empty, when an
+    entry lacks a string ["name"] or a finite numeric ["value"], or when
+    a name repeats (a comparison would judge only the first). *)
 
 val load_file : string -> (metric list, string) result
+(** {!metrics_of_json} of a file; errors are prefixed with the path. *)
 
 val table : comparison list -> Goalcom_prelude.Table.t
 
 val verdict_json : comparison list -> string
-(** Machine-readable verdict:
+(** Machine-readable verdict, printed by {!Json.to_string}:
     [{"verdict": "pass"|"fail", "compared": n, "regressed": k,
       "comparisons": [...]}]. *)

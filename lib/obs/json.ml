@@ -1,9 +1,9 @@
-(* A minimal JSON reader for the observability layer's own files: the
-   JSONL trace lines (Jsonl) and the committed BENCH_*.json baselines
-   (Bench_gate).  Both vocabularies are produced by this repository, so
-   the parser favours clear errors over streaming generality: whole
-   value in memory, integers kept exact, objects as assoc lists in
-   input order. *)
+(* A minimal JSON reader and printer for the observability layer's own
+   files: the JSONL trace lines (Jsonl) and the committed BENCH_*.json
+   baselines (Bench_gate).  Both vocabularies are produced by this
+   repository, so the parser favours clear errors over streaming
+   generality: whole value in memory, integers kept exact, objects as
+   assoc lists in input order. *)
 
 type t =
   | Null
@@ -191,3 +191,88 @@ let number_opt = function
   | _ -> None
 
 let list_opt = function List vs -> Some vs | _ -> None
+
+(* Printing. *)
+
+let needs_escape c = c = '"' || c = '\\' || Char.code c < 0x20
+
+(* Names and details rarely need escaping: copy them whole when they
+   do not.  Bytes >= 0x80 go out raw, which [parse] reads back byte for
+   byte. *)
+let add_escaped b s =
+  if not (String.exists needs_escape s) then Buffer.add_string b s
+  else
+    String.iter
+      (fun c ->
+        match c with
+        | '"' -> Buffer.add_string b "\\\""
+        | '\\' -> Buffer.add_string b "\\\\"
+        | '\n' -> Buffer.add_string b "\\n"
+        | '\r' -> Buffer.add_string b "\\r"
+        | '\t' -> Buffer.add_string b "\\t"
+        | c when Char.code c < 0x20 ->
+            Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
+        | c -> Buffer.add_char b c)
+      s
+
+(* The shortest of %.15g / %.17g that reads back as the same float,
+   with a ".0" when the digits alone would read back as an Int. *)
+let float_text f =
+  if not (Float.is_finite f) then
+    invalid_arg (Printf.sprintf "Json.to_string: non-finite float %h" f);
+  let short = Printf.sprintf "%.15g" f in
+  let text =
+    if float_of_string short = f then short else Printf.sprintf "%.17g" f
+  in
+  if String.exists (fun c -> c = '.' || c = 'e') text then text
+  else text ^ ".0"
+
+(* A container whose members are all scalars prints on one line; any
+   other puts one member per line, so a BENCH file reads as one metric
+   per line. *)
+let flat = function
+  | List vs -> List.for_all (function List _ | Obj _ -> false | _ -> true) vs
+  | Obj kvs ->
+      List.for_all (function _, (List _ | Obj _) -> false | _ -> true) kvs
+  | _ -> true
+
+let to_string v =
+  let b = Buffer.create 256 in
+  let rec go indent v =
+    let items opening closing add xs =
+      (* An empty container is flat, so a broken one has members. *)
+      let pad = indent ^ "  " in
+      let first, sep, last =
+        if flat v then ("", ", ", "")
+        else ("\n" ^ pad, ",\n" ^ pad, "\n" ^ indent)
+      in
+      Buffer.add_char b opening;
+      Buffer.add_string b first;
+      List.iteri
+        (fun i x ->
+          if i > 0 then Buffer.add_string b sep;
+          add pad x)
+        xs;
+      Buffer.add_string b last;
+      Buffer.add_char b closing
+    in
+    match v with
+    | Null -> Buffer.add_string b "null"
+    | Bool x -> Buffer.add_string b (string_of_bool x)
+    | Int i -> Buffer.add_string b (string_of_int i)
+    | Float f -> Buffer.add_string b (float_text f)
+    | String s ->
+        Buffer.add_char b '"';
+        add_escaped b s;
+        Buffer.add_char b '"'
+    | List vs -> items '[' ']' go vs
+    | Obj kvs ->
+        items '{' '}'
+          (fun pad (k, x) ->
+            go pad (String k);
+            Buffer.add_string b ": ";
+            go pad x)
+          kvs
+  in
+  go "" v;
+  Buffer.contents b

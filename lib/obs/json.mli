@@ -1,8 +1,8 @@
-(** A minimal JSON reader for the observability layer's own artefacts —
-    JSONL trace lines ({!Jsonl.parse_line}) and the committed
-    [BENCH_*.json] baselines ({!Bench_gate}).  Whole-value parsing,
-    exact integers, objects as assoc lists in input order.  Not a
-    general-purpose JSON library: good errors over streaming. *)
+(** A minimal JSON reader and printer for the observability layer's own
+    artefacts — JSONL trace lines ({!Jsonl.parse_line}) and the
+    committed [BENCH_*.json] baselines ({!Bench_gate}).  Whole-value
+    parsing, exact integers, objects as assoc lists in input order.
+    Not a general-purpose JSON library: good errors over streaming. *)
 
 type t =
   | Null
@@ -20,6 +20,21 @@ val parse : string -> (t, string) result
 
 val of_file : string -> (t, string) result
 (** {!parse} the whole file; errors are prefixed with the path. *)
+
+val to_string : t -> string
+(** The inverse of {!parse}: [parse (to_string v) = Ok v].  Floats print
+    as [%.15g], or [%.17g] when that does not read back as the same
+    float, with a [".0"] when the digits alone would read back as an
+    [Int].  A container of scalars prints on one line; any other prints
+    one member per line, indented two spaces per level.  No trailing
+    newline.
+    @raise Invalid_argument on a non-finite float, which JSON cannot
+    express. *)
+
+val add_escaped : Buffer.t -> string -> unit
+(** Append [s] JSON-escaped, without the surrounding quotes: quotes,
+    backslashes and control characters escaped, other bytes raw — what
+    {!parse} reads back byte for byte. *)
 
 (** {1 Accessors} — shape probes returning [None] on mismatch. *)
 

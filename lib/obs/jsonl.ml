@@ -11,29 +11,9 @@ open Goalcom
    allocations.  The byte-level format is pinned by the golden traces
    and by a qcheck test against a sprintf reference. *)
 
-let needs_escape c = c = '"' || c = '\\' || Char.code c < 0x20
-
-(* Names and details rarely need escaping: copy them whole when they
-   do not. *)
-let add_escaped b s =
-  if not (String.exists needs_escape s) then Buffer.add_string b s
-  else
-    String.iter
-      (fun c ->
-        match c with
-        | '"' -> Buffer.add_string b "\\\""
-        | '\\' -> Buffer.add_string b "\\\\"
-        | '\n' -> Buffer.add_string b "\\n"
-        | '\r' -> Buffer.add_string b "\\r"
-        | '\t' -> Buffer.add_string b "\\t"
-        | c when Char.code c < 0x20 ->
-            Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-        | c -> Buffer.add_char b c)
-      s
-
 let add_str b s =
   Buffer.add_char b '"';
-  add_escaped b s;
+  Json.add_escaped b s;
   Buffer.add_char b '"'
 
 (* [string_of_int n]'s digits, written straight into the buffer: every

@@ -7,22 +7,6 @@ open Goalcom
    microsecond tick, [ts] = first round, [dur] = rounds.  Runs map to
    threads (tid = 1-based run ordinal) of a single process. *)
 
-let buf_add_json_str b s =
-  Buffer.add_char b '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.add_char b '"'
-
 let span_name (s : Span.span) =
   match s.Span.index with
   | None -> "uninstrumented"
@@ -72,7 +56,7 @@ let chrome_of_events events =
     (fun i (run : Span.run) ->
       let tid = i + 1 in
       let tname = Buffer.create 64 in
-      buf_add_json_str tname
+      Jsonl.add_str tname
         (Printf.sprintf "run %d: %s | %s" tid run.Span.goal run.Span.user);
       add_record b ~first
         "{\"ph\":\"M\",\"pid\":1,\"tid\":%d,\"name\":\"thread_name\",\"args\":{\"name\":%s}}"
@@ -81,7 +65,7 @@ let chrome_of_events events =
         (fun (s : Span.span) ->
           if s.Span.rounds > 0 then begin
             let name = Buffer.create 32 in
-            buf_add_json_str name (span_name s);
+            Jsonl.add_str name (span_name s);
             add_record b ~first
               "{\"ph\":\"X\",\"pid\":1,\"tid\":%d,\"name\":%s,\"cat\":\"span\",\"ts\":%d,\"dur\":%d,\"args\":{\"rounds\":%d,\"sessions\":%d,\"retries\":%d,\"user_msgs\":%d,\"server_msgs\":%d,\"world_msgs\":%d,\"wire_symbols\":%d,\"senses\":%d,\"negatives\":%d,\"faults\":%d,\"winner\":%b}}"
               tid (Buffer.contents name) s.Span.first_round
@@ -103,7 +87,7 @@ let chrome_of_events events =
           match (instant_name ev, event_round ev) with
           | Some label, Some round ->
               let name = Buffer.create 32 in
-              buf_add_json_str name label;
+              Jsonl.add_str name label;
               add_record b ~first
                 "{\"ph\":\"i\",\"pid\":1,\"tid\":%d,\"name\":%s,\"cat\":\"mark\",\"ts\":%d,\"s\":\"t\"}"
                 tid (Buffer.contents name) round

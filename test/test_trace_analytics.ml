@@ -1,9 +1,11 @@
 (* Analytics-layer suite (lib/obs): the JSONL reader inverts the writer
    on arbitrary events (qcheck), the committed golden files parse back
    and satisfy the standard invariants, span attribution sums exactly
-   to the run totals, Trace_diff reports first divergences, and the
-   Bench_gate regression predicate passes identical metrics while
-   failing an injected 50% regression. *)
+   to the run totals, Trace_diff reports first divergences, the Json
+   printer round-trips through the reader (which never raises on
+   noise), and the Bench_gate regression predicate passes identical
+   metrics while failing an injected 50% regression, a vanished hard
+   gate and a baseline with repeated names. *)
 
 open Goalcom
 open Goalcom_harness
@@ -199,16 +201,16 @@ let diff_different_runs () =
         (String.length d.Obs.Trace_diff.detail > 0)
   | None -> Alcotest.fail "distinct traces reported identical"
 
+let contains hay needle =
+  let nh = String.length hay and nn = String.length needle in
+  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
+  go 0
+
 let diff_field_detail () =
   let ev round = Trace.Round_start { round } in
   match Obs.Trace_diff.events [ ev 1; ev 2 ] [ ev 1; ev 3 ] with
   | Some d ->
       Alcotest.(check int) "position" 2 d.Obs.Trace_diff.position;
-      let contains hay needle =
-        let nh = String.length hay and nn = String.length needle in
-        let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-        go 0
-      in
       Alcotest.(check bool)
         (Printf.sprintf "detail names the field: %s" d.Obs.Trace_diff.detail)
         true
@@ -260,14 +262,12 @@ let gate_injected_regression_fails () =
   Alcotest.(check string)
     "the right metric" "jsonl sink (buffer)/overhead_pct"
     (List.hd regs).Obs.Bench_gate.metric;
-  let verdict = Obs.Bench_gate.verdict_json cs in
-  let contains hay needle =
-    let nh = String.length hay and nn = String.length needle in
-    let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-    go 0
-  in
-  Alcotest.(check bool) "verdict says fail" true
-    (contains verdict "\"verdict\": \"fail\"")
+  match Obs.Json.parse (Obs.Bench_gate.verdict_json cs) with
+  | Error e -> Alcotest.fail e
+  | Ok v ->
+      Alcotest.(check (option string))
+        "verdict says fail" (Some "fail")
+        (Option.bind (Obs.Json.member "verdict" v) Obs.Json.string_opt)
 
 let gate_slack_absorbs_noise () =
   (* Near-zero pct metrics: a big relative move inside the absolute
@@ -285,27 +285,191 @@ let gate_slack_absorbs_noise () =
 
 let gate_extraction () =
   let json =
-    {|{"seed": 1, "no_sink_overhead_pct": 0.25,
-       "results": [
-         {"name": "no sink", "ms_per_run": 0.05, "overhead_pct": 0.25},
-         {"name": "untraced replica", "ms_per_run": 0.049}
+    {|{"name": "trace", "host": {"domains": 2, "profile": "release"},
+       "metrics": [
+         {"name": "no_sink_overhead_pct", "value": 0.25},
+         {"name": "no sink/ms_per_run", "value": 0.05},
+         {"name": "untraced replica/ms_per_run", "value": 49}
        ]}|}
   in
-  match Obs.Json.parse json with
+  match Result.bind (Obs.Json.parse json) Obs.Bench_gate.metrics_of_json with
   | Error e -> Alcotest.fail e
-  | Ok j ->
-      let ms = Obs.Bench_gate.metrics_of_json j in
-      let find name =
-        List.find_opt (fun (m : Obs.Bench_gate.metric) -> m.name = name) ms
+  | Ok ms ->
+      Alcotest.(check (list (pair string (float 0.))))
+        "the metrics list, in order (host is not gateable)"
+        [
+          ("no_sink_overhead_pct", 0.25);
+          ("no sink/ms_per_run", 0.05);
+          ("untraced replica/ms_per_run", 49.);
+        ]
+        (List.map (fun (m : Obs.Bench_gate.metric) -> (m.name, m.value)) ms)
+
+let gate_duplicate_names_rejected () =
+  let file =
+    Obs.Bench_gate.to_json ~name:"trace" ~host:[]
+      [ gate_metrics "a/ms" 1.; gate_metrics "b/ms" 2.; gate_metrics "a/ms" 3. ]
+  in
+  match Obs.Bench_gate.metrics_of_json file with
+  | Ok _ -> Alcotest.fail "a repeated metric name was accepted"
+  | Error e ->
+      Alcotest.(check bool) "names the metric" true (contains e "a/ms")
+
+let gate_hard_gate_must_match () =
+  (* A renamed variant: the gate's name no longer appears in the run. *)
+  let gate = gate_metrics "ring sink (binary)/overhead_pct" 50. in
+  match
+    Obs.Bench_gate.check ~gates:[ gate ] ~baseline:sample_metrics
+      ~fresh:sample_metrics ()
+  with
+  | Ok _ -> Alcotest.fail "a gate with no fresh metric passed silently"
+  | Error e ->
+      Alcotest.(check bool) "names the gate" true
+        (contains e "ring sink (binary)/overhead_pct")
+
+let gate_check_splits_gates () =
+  (* The gated name is judged once, at zero tolerance against its
+     threshold; the committed value under that name is not compared. *)
+  let gate = gate_metrics "no_sink_overhead_pct" 5. in
+  let fresh =
+    List.map
+      (fun (m : Obs.Bench_gate.metric) ->
+        if m.name = gate.name then { m with value = 5.5 } else m)
+      sample_metrics
+  in
+  match
+    Obs.Bench_gate.check ~gates:[ gate ] ~baseline:sample_metrics ~fresh ()
+  with
+  | Error e -> Alcotest.fail e
+  | Ok cs ->
+      Alcotest.(check int) "one row per metric" 3 (List.length cs);
+      let row =
+        List.filter
+          (fun (c : Obs.Bench_gate.comparison) -> c.metric = gate.name)
+          cs
       in
-      Alcotest.(check int) "four metrics (seed is not gateable)" 4
-        (List.length ms);
-      Alcotest.(check bool) "top-level pct extracted" true
-        (find "no_sink_overhead_pct" <> None);
-      Alcotest.(check bool) "per-result fields extracted" true
-        (find "no sink/overhead_pct" <> None
-        && find "no sink/ms_per_run" <> None
-        && find "untraced replica/ms_per_run" <> None)
+      Alcotest.(check (list (triple (float 0.) (float 0.) bool)))
+        "the gate row: threshold, zero tolerance, regressed"
+        [ (5., 0., true) ]
+        (List.map
+           (fun (c : Obs.Bench_gate.comparison) ->
+             (c.baseline, c.tol_pct, c.regressed))
+           row)
+
+(* Every committed baseline is in the one schema: it loads, and its
+   metric names are unique and its values finite.  BENCH_check.json is
+   a verdict, not a baseline. *)
+let committed_baselines_load () =
+  let files =
+    Sys.readdir ".." |> Array.to_list
+    |> List.filter (fun f ->
+           String.starts_with ~prefix:"BENCH_" f
+           && Filename.check_suffix f ".json"
+           && f <> "BENCH_check.json")
+    |> List.sort compare
+  in
+  Alcotest.(check (list string))
+    "the committed baselines"
+    [
+      "BENCH_compile.json"; "BENCH_faults.json"; "BENCH_net.json";
+      "BENCH_par.json"; "BENCH_sense.json"; "BENCH_session.json";
+      "BENCH_trace.json";
+    ]
+    files;
+  List.iter
+    (fun f ->
+      match Obs.Bench_gate.load_file (Filename.concat ".." f) with
+      | Error e -> Alcotest.fail e
+      | Ok ms ->
+          let names = List.map (fun (m : Obs.Bench_gate.metric) -> m.name) ms in
+          Alcotest.(check int)
+            (f ^ ": unique names")
+            (List.length names)
+            (List.length (List.sort_uniq compare names));
+          Alcotest.(check bool)
+            (f ^ ": finite values")
+            true
+            (List.for_all
+               (fun (m : Obs.Bench_gate.metric) -> Float.is_finite m.value)
+               ms))
+    files
+
+(* Json printer *)
+
+let json_gen =
+  QCheck.Gen.(
+    let str = string_size ~gen:(map Char.chr (int_bound 255)) (int_bound 6) in
+    let flt =
+      oneof
+        [
+          oneofl [ 310.7; 1e-300; -0.5; 0.; 1e21; 5e-324; max_float; 0.1 ];
+          map (fun f -> if Float.is_finite f then f else 2.5) float;
+        ]
+    in
+    sized_size (int_bound 4) @@ fix (fun self n ->
+        let leaf =
+          oneof
+            [
+              return Obs.Json.Null;
+              map (fun b -> Obs.Json.Bool b) bool;
+              map (fun i -> Obs.Json.Int i) (oneof [ int; oneofl [ max_int; min_int ] ]);
+              map (fun f -> Obs.Json.Float f) flt;
+              map (fun s -> Obs.Json.String s) str;
+            ]
+        in
+        if n <= 0 then leaf
+        else
+          frequency
+            [
+              (2, leaf);
+              (1, map (fun l -> Obs.Json.List l) (list_size (int_bound 4) (self (n / 2))));
+              ( 1,
+                map
+                  (fun l -> Obs.Json.Obj l)
+                  (list_size (int_bound 4) (pair str (self (n / 2)))) );
+            ]))
+
+let prop_json_roundtrip =
+  QCheck.Test.make ~count:qcount ~name:"Json: parse (to_string v) = Ok v"
+    (QCheck.make ~print:Obs.Json.to_string json_gen)
+    (fun v -> Obs.Json.parse (Obs.Json.to_string v) = Ok v)
+
+let json_non_finite_rejected () =
+  List.iter
+    (fun f ->
+      match Obs.Json.to_string (Obs.Json.List [ Obs.Json.Float f ]) with
+      | s -> Alcotest.failf "wrote %s" s
+      | exception Invalid_argument _ -> ())
+    [ nan; infinity; neg_infinity ]
+
+(* Noise, flipped bytes and truncations of a valid BENCH file: the
+   reader answers Ok or Error and never raises. *)
+let prop_json_parse_total =
+  let valid =
+    Obs.Json.to_string
+      (Obs.Bench_gate.to_json ~name:"trace"
+         ~host:[ ("domains", Obs.Json.Int 2) ]
+         (sample_metrics @ [ gate_metrics "a \"quoted\"\n/ms" 1e-300 ]))
+  in
+  let n = String.length valid in
+  let gen =
+    QCheck.Gen.(
+      oneof
+        [
+          string_size ~gen:(map Char.chr (int_bound 255)) (int_bound 64);
+          map
+            (fun flips ->
+              let b = Bytes.of_string valid in
+              List.iter
+                (fun (i, c) -> Bytes.set b (i mod n) (Char.chr c))
+                flips;
+              Bytes.to_string b)
+            (list_size (int_range 1 4) (pair nat (int_bound 255)));
+          map (fun k -> String.sub valid 0 (k mod n)) nat;
+        ])
+  in
+  QCheck.Test.make ~count:(4 * qcount) ~name:"Json.parse never raises"
+    (QCheck.make ~print:String.escaped gen)
+    (fun s -> match Obs.Json.parse s with Ok _ | Error _ -> true)
 
 let golden_cases f =
   List.map
@@ -337,5 +501,20 @@ let () =
           Alcotest.test_case "slack and tolerances" `Quick
             gate_slack_absorbs_noise;
           Alcotest.test_case "metric extraction" `Quick gate_extraction;
+          Alcotest.test_case "duplicate names rejected" `Quick
+            gate_duplicate_names_rejected;
+          Alcotest.test_case "hard gate must match" `Quick
+            gate_hard_gate_must_match;
+          Alcotest.test_case "gates split from soft" `Quick
+            gate_check_splits_gates;
+          Alcotest.test_case "committed baselines load" `Quick
+            committed_baselines_load;
+        ] );
+      ( "json",
+        [
+          QCheck_alcotest.to_alcotest prop_json_roundtrip;
+          QCheck_alcotest.to_alcotest prop_json_parse_total;
+          Alcotest.test_case "non-finite rejected" `Quick
+            json_non_finite_rejected;
         ] );
     ]
