@@ -498,8 +498,12 @@ let measure_trace_overhead ~rounds ~budget () =
   (* Replica fidelity: same seed, same history, or the baseline is not
      measuring the same work. *)
   let fidelity =
-    History.rounds (replica_run ~config ~goal ~user ~server (Rng.make seed))
-    = History.rounds (Exec.run ~config ~goal ~user ~server (Rng.make seed))
+    let replica = replica_run ~config ~goal ~user ~server (Rng.make seed) in
+    let exec = Exec.run ~config ~goal ~user ~server (Rng.make seed) in
+    History.length replica = History.length exec
+    && fst
+         (History.fold_rounds replica ~init:(true, 0) ~f:(fun (same, i) r ->
+              (same && r = History.round_exn exec i, i + 1)))
   in
   if not fidelity then
     failwith "trace overhead: replica loop diverged from Exec.run";

@@ -21,9 +21,9 @@ let trace label user server seed =
   in
   let outcome = Outcome.judge goal history in
   let positions =
-    List.filter_map
-      (fun (r : History.Round.t) -> Msg.int_opt r.world_view)
-      (History.rounds history)
+    List.rev
+      (History.fold_rounds history ~init:[] ~f:(fun acc (r : History.Round.t) ->
+           match Msg.int_opt r.world_view with Some p -> p :: acc | None -> acc))
   in
   let spark =
     (* A coarse text rendering of |plant| over time, sampled every 100

@@ -41,22 +41,23 @@ let () =
   let server = Delegation.server ~alphabet (Enum.get_exn dialects 1) in
   let user = Delegation.informed_user ~alphabet (Enum.get_exn dialects 1) in
   let history = Exec.run ~config ~goal ~user ~server (Rng.make 7) in
+  (* The first round at which [pick] answers. *)
+  let first pick =
+    History.fold_rounds history ~init:None ~f:(fun found r ->
+        match found with Some _ -> found | None -> pick r)
+  in
   let formula =
-    List.find_map
-      (fun (r : History.Round.t) ->
+    first (fun (r : History.Round.t) ->
         match r.world_view with
         | Msg.Pair (Msg.Text _, cnf) -> Some cnf
         | _ -> None)
-      (History.rounds history)
   in
   (match formula with
   | Some cnf -> Format.printf "@.sample formula posed by the world:@.  %s@." (Msg.to_string cnf)
   | None -> ());
   let answer =
-    List.find_map
-      (fun (r : History.Round.t) ->
+    first (fun (r : History.Round.t) ->
         match r.user_to_world with Msg.Seq _ as m -> Some m | _ -> None)
-      (History.rounds history)
   in
   match answer with
   | Some m -> Format.printf "assignment relayed by the user:@.  %s@." (Msg.to_string m)

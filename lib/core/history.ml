@@ -115,7 +115,6 @@ let make ~initial_world_view rounds =
 
 let initial_world_view t = t.initial_world_view
 let length t = t.len
-let rounds t = List.init t.len (fun i -> unsafe_round t i)
 
 let world_views t =
   t.initial_world_view
@@ -166,4 +165,4 @@ let trace_events t =
 let pp ppf t =
   Format.fprintf ppf "@[<v>initial world %a@,%a@]" Msg.pp t.initial_world_view
     (Format.pp_print_list Round.pp)
-    (rounds t)
+    (List.init t.len (unsafe_round t))

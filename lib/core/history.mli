@@ -8,9 +8,8 @@
     Storage is chunked: rounds are appended into fixed-size arrays hung
     off a growable spine, so recording a round is an array store rather
     than a cons, and [length]/[halted]/[halt_round]/[prefix] are O(1).
-    The {!rounds} list accessor is a compatibility view built on
-    demand; hot paths should use {!fold_rounds}/{!iter_rounds}/
-    {!round_exn}, which index the chunks directly. *)
+    Read rounds with {!fold_rounds}/{!iter_rounds}/{!round_exn}, which
+    index the chunks directly. *)
 
 module Round : sig
   type t = {
@@ -57,10 +56,6 @@ module Builder : sig
 end
 
 val initial_world_view : t -> Msg.t
-
-val rounds : t -> Round.t list
-(** Chronological.  Compatibility view, allocated on demand — prefer
-    {!fold_rounds} / {!iter_rounds} / {!round_exn} on hot paths. *)
 
 val length : t -> int
 

@@ -63,7 +63,11 @@ type sink = event -> unit
    Fresh domains start with no sink — pool workers inherit nothing and
    install their own recorder per task. *)
 
-type encoded_sink = Bytes.t -> int -> int -> unit
+type encoded_sink = {
+  push : Bytes.t -> int -> int -> unit;
+  retain : int;
+  discard : int -> unit;
+}
 
 (* [d_offer] is the encoded fast path a sink offered on this domain
    (see [offer_encoded]): the sink closure is the ephemeron's key, so
@@ -151,8 +155,8 @@ let with_sink s f =
    takes the fast path only while it is physically the offering
    closure, so any wrapper (a tee, a timing shim) falls back to plain
    event delivery. *)
-let offer_encoded s push =
-  (state ()).d_offer <- Some (Ephemeron.K1.make s push)
+let offer_encoded s e =
+  (state ()).d_offer <- Some (Ephemeron.K1.make s e)
 
 let encoded () =
   let st = state () in

@@ -144,22 +144,40 @@ val handle_round : handle -> int
     ring) can also accept an event already in that encoding, skipping
     a decode and re-encode.  A producer holding encoded events (the
     session engine's replay) asks {!encoded} and, when it answers,
-    pushes byte slices instead of events. *)
+    pushes byte slices instead of events.
 
-type encoded_sink = Bytes.t -> int -> int -> unit
-(** [push buf off len]: the bytes [buf.[off .. off+len-1]] are exactly
-    one event in [Goalcom_obs.Binary]'s format.  The callee copies
-    what it keeps. *)
+    The offer also states the sink's retention: a sink that keeps only
+    its last [retain] events need not be handed the ones it would
+    evict.  [discard k] counts [k] events as pushed and then evicted,
+    without their bytes.  Its contract: the caller pushes at least
+    [retain] more events afterwards, so every event the sink held
+    before [discard] (and the [k] it skipped) would have been evicted
+    anyway, and the sink ends exactly as if all of them had been
+    pushed.  A producer that cannot promise those pushes must not
+    call [discard]. *)
+
+type encoded_sink = {
+  push : Bytes.t -> int -> int -> unit;
+      (** [push buf off len]: the bytes [buf.[off .. off+len-1]] are
+          exactly one event in [Goalcom_obs.Binary]'s format.  The
+          callee copies what it keeps. *)
+  retain : int;  (** the sink keeps only its last [retain] events *)
+  discard : int -> unit;
+      (** [discard k]: [k] events pushed and evicted, bytes unseen.
+          @raise Invalid_argument if [k < 0]. *)
+}
 
 val offer_encoded : sink -> encoded_sink -> unit
-(** [offer_encoded s push] declares, on the calling domain, that [push]
-    is [s]'s encoded form.  The domain keeps one offer (the latest),
-    held weakly: it never keeps [s] alive. *)
+(** [offer_encoded s e] declares, on the calling domain, that [e] is
+    [s]'s encoded form.  The domain keeps one offer (the latest), held
+    weakly: it never keeps [s] alive. *)
 
 val encoded : unit -> encoded_sink option
 (** The calling domain's offered fast path, if the installed ambient
     sink is physically the closure that offered it; [None] otherwise
-    (no sink, a different sink, or a wrapper around the offering one). *)
+    (no sink, a different sink, or a wrapper around the offering one).
+    Wrappers, tees and sinks that make no offer therefore receive
+    every event, decoded. *)
 
 val tee : sink -> sink -> sink
 (** Both sinks, left first. *)

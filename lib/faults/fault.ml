@@ -46,7 +46,8 @@ let delay ~rounds =
     }
 
 let drop ~prob =
-  if prob < 0. || prob > 1. then invalid_arg "Fault.drop: prob out of range";
+  if not (prob >= 0. && prob <= 1.) then
+    invalid_arg "Fault.drop: prob out of range";
   if prob = 0. then nop
   else
     {
@@ -95,7 +96,8 @@ let rec corrupt_msg rng ~alphabet = function
            ms)
 
 let corrupt ~alphabet ~prob =
-  if prob < 0. || prob > 1. then invalid_arg "Fault.corrupt: prob out of range";
+  if not (prob >= 0. && prob <= 1.) then
+    invalid_arg "Fault.corrupt: prob out of range";
   if alphabet <= 0 then invalid_arg "Fault.corrupt: bad alphabet";
   if prob = 0. then nop
   else begin
@@ -201,7 +203,7 @@ let reorder ~skew =
 
 let burst ~p_enter ~p_exit ~drop_prob =
   let check name p =
-    if p < 0. || p > 1. then
+    if not (p >= 0. && p <= 1.) then
       invalid_arg (Printf.sprintf "Fault.burst: %s out of range" name)
   in
   check "p_enter" p_enter;

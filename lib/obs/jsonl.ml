@@ -214,26 +214,22 @@ let write_events oc events =
   List.iter s events
 
 let to_file path events =
-  let oc = open_out path in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () ->
-      write_events oc events)
+  Goalcom_prelude.File.with_atomic_out path (fun oc -> write_events oc events)
 
 let with_file ?(buffer_bytes = 1 lsl 16) path f =
-  let oc = open_out path in
-  let b = Buffer.create buffer_bytes in
-  let sink ev =
-    add_event b ev;
-    Buffer.add_char b '\n';
-    if Buffer.length b >= buffer_bytes then begin
+  Goalcom_prelude.File.with_atomic_out path (fun oc ->
+      let b = Buffer.create buffer_bytes in
+      let sink ev =
+        add_event b ev;
+        Buffer.add_char b '\n';
+        if Buffer.length b >= buffer_bytes then begin
+          Buffer.output_buffer oc b;
+          Buffer.clear b
+        end
+      in
+      let v = f sink in
       Buffer.output_buffer oc b;
-      Buffer.clear b
-    end
-  in
-  Fun.protect
-    ~finally:(fun () ->
-      Buffer.output_buffer oc b;
-      close_out oc)
-    (fun () -> f sink)
+      v)
 
 (* Reading traces back.  parse_line inverts add_event exactly — the
    qcheck roundtrip in the test suite quantifies over arbitrary events

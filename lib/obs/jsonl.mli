@@ -40,16 +40,17 @@ val sink : out_channel -> Trace.sink
 val buffer_sink : Buffer.t -> Trace.sink
 
 val with_file : ?buffer_bytes:int -> string -> (Trace.sink -> 'a) -> 'a
-(** [with_file path f] creates/truncates [path] and hands [f] a sink
-    that renders into a scratch buffer and batches channel writes in
-    [buffer_bytes]-sized chunks (default 64 KiB); the tail is flushed
-    and the file closed when [f] returns, exceptions included.  This is
-    the fast path the CLI's [--trace FILE] uses. *)
+(** [with_file path f] hands [f] a sink that renders into a reused
+    buffer and batches writes to [path ^ ".tmp"] in [buffer_bytes]-sized
+    chunks (default 64 KiB); when [f] returns, the tail is written and
+    the file renamed over [path] ({!Goalcom_prelude.File.with_atomic_out}).
+    If [f] raises, [path] keeps its old contents and no temporary file
+    is left.  This is the fast path the CLI's [--trace FILE] uses. *)
 
 val write_events : out_channel -> Trace.event list -> unit
 
 val to_file : string -> Trace.event list -> unit
-(** Create/truncate [path] and write the events, closing on exit. *)
+(** Write the events to [path] atomically, as {!with_file} does. *)
 
 (** {1 Reading} *)
 

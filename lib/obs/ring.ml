@@ -134,6 +134,14 @@ let push_encoded_sh sh b off len =
   Binary.put_slice sh.enc b off len;
   commit sh start
 
+(* [k] events pushed and then evicted, their bytes never seen.  Only
+   [evicted] moves: the caller's promise of [capacity] further pushes
+   (Trace.encoded_sink's contract) means they evict whatever the shard
+   holds now, so the slots end exactly as if the [k] had been pushed. *)
+let discard_sh sh k =
+  if k < 0 then invalid_arg "Ring.discard: negative count";
+  sh.evicted <- sh.evicted + k
+
 let sink t ev = push_sh (Domain.DLS.get t.slot) ev
 
 (* The DLS lookup is the single biggest fixed cost left on the emission
@@ -143,11 +151,17 @@ let sink t ev = push_sh (Domain.DLS.get t.slot) ev
    single-domain shape of the engine replay, the chaos capture and the
    bench harness.  The closure also offers its encoded form to Trace,
    so a producer replaying encoded events (the session engine) into
-   exactly this sink copies bytes instead of decoding them. *)
+   exactly this sink copies bytes instead of decoding them, and skips
+   with [discard] the events the shard's capacity would evict. *)
 let domain_sink t =
   let sh = Domain.DLS.get t.slot in
   let sink ev = push_sh sh ev in
-  Goalcom.Trace.offer_encoded sink (push_encoded_sh sh);
+  Goalcom.Trace.offer_encoded sink
+    {
+      push = push_encoded_sh sh;
+      retain = t.capacity;
+      discard = discard_sh sh;
+    };
   sink
 
 (* Drain-side accessors.  These lock only the registry; they read shard

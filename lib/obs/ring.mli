@@ -41,13 +41,18 @@ val domain_sink : t -> Goalcom.Trace.sink
     it on single-domain capture paths (the engine replay, [chaos run],
     the bench) and plain {!sink} everywhere else.
 
-    The closure also offers a raw-slice push through
-    {!Goalcom.Trace.offer_encoded}: it stores one event given as its
-    {!Binary} encoding, copied verbatim, and leaves the shard exactly
-    as the closure would for the decoded event.  A producer holding
-    encoded events (the session engine's replay) gets it from
-    {!Goalcom.Trace.encoded} while this exact closure is the ambient
-    sink. *)
+    The closure also makes an offer through
+    {!Goalcom.Trace.offer_encoded}.  Its [push] stores one event given
+    as its {!Binary} encoding, copied verbatim, and leaves the shard
+    exactly as the closure would for the decoded event.  Its [retain]
+    is {!capacity}: the shard keeps only the last [capacity] events.
+    Its [discard k] adds [k] to {!evicted} and touches no slot; the
+    caller promises at least [capacity] pushes after it, which evict
+    every slot held before, so the shard ends with the same {!slots},
+    {!length} and {!evicted} as if the [k] events had been pushed.  A
+    producer holding encoded events (the session engine's replay) gets
+    the offer from {!Goalcom.Trace.encoded} while this exact closure
+    is the ambient sink. *)
 
 val events : t -> Goalcom.Trace.event list
 (** Decode and concatenate all retained events.  @raise Failure on a

@@ -22,16 +22,28 @@ module Binary = Goalcom_obs.Binary
    and the achieved view recorded as the session's goal state.
 
    Tracing: when a sink is installed, every session owns an arena —
-   an append-only buffer of events in Goalcom_obs.Binary's encoding.
-   Its capture sink, built once per session, is installed around
-   stepper creation and around each quantum, and the engine appends
-   its own Supervise events through it too.  The merged trace —
-   arenas concatenated in session-id order — is replayed into the
-   ambient sink at the end, so Trace.split_runs on one session's slice
-   segments its incarnations exactly as it does for the crash-resume
-   harness.  A sink that offers an encoded push (Ring.domain_sink)
-   receives each event's bytes as they are; any other sink receives
-   the decoded events. *)
+   an append-only buffer of events in Goalcom_obs.Binary's encoding —
+   and a count of the events it captured.  Its capture sink, built
+   once per session, is installed around stepper creation and around
+   each quantum, and the engine appends its own Supervise events
+   through it too.  The merged trace — arenas concatenated in
+   session-id order — is replayed into the ambient sink at the end,
+   so Trace.split_runs on one session's slice segments its
+   incarnations exactly as it does for the crash-resume harness.  A
+   sink that offers an encoded push (Ring.domain_sink) receives each
+   event's bytes as they are; any other sink receives the decoded
+   events.
+
+   Retention: an offer also says the sink keeps only its last N
+   events.  Then a session whose successors (higher ids) already hold
+   N events can never reach the sink's retained tail — counts only
+   grow — so at the end of each tick a watermark that only moves up
+   releases the arenas below it, and a released session's capture
+   only counts.  The replay [discard]s the released prefix's count and
+   pushes the rest, which number at least N: the sink ends as if every
+   event had been pushed, while the arenas hold at most the watermark
+   session's events plus fewer than N above it, plus one tick's
+   captures. *)
 
 type spec = {
   sname : string;
@@ -143,12 +155,28 @@ type phase =
   | Terminal of outcome
 
 (* A traced session's events, encoded, and the sink that appends to
-   them (built once, installed around every quantum). *)
-type trace = { arena : Binary.enc; capture : Trace.sink }
+   them (built once, installed around every quantum).  [events] counts
+   every captured event; once the retention watermark releases the
+   session, [arena] is [None] and the capture only counts. *)
+type trace = {
+  mutable arena : Binary.enc option;
+  mutable events : int;
+  capture : Trace.sink;
+}
 
 let new_trace () =
-  let arena = Binary.enc_create 256 in
-  { arena; capture = Binary.put_event arena }
+  let arena = Some (Binary.enc_create 256) in
+  let rec t =
+    {
+      arena;
+      events = 0;
+      capture =
+        (fun ev ->
+          t.events <- t.events + 1;
+          match t.arena with Some a -> Binary.put_event a ev | None -> ());
+    }
+  in
+  t
 
 type session = {
   id : int;
@@ -183,6 +211,10 @@ let run ?(chaos = Chaos.none) ?(config = default_config) ?jobs ?(groups = [])
     match jobs with Some j -> j | None -> Goalcom_par.Pool.default_jobs ()
   in
   let tracing = Trace.enabled () in
+  (* The entry sink's encoded offer, and the retention it states (none
+     for a sink that makes no offer: it receives every event). *)
+  let offer = if tracing then Trace.encoded () else None in
+  let retain = match offer with Some o -> o.Trace.retain | None -> max_int in
   let root = Rng.make seed in
   let sessions =
     Array.init n (fun id ->
@@ -299,6 +331,21 @@ let run ?(chaos = Chaos.none) ?(config = default_config) ?jobs ?(groups = [])
          s.incarnations);
     s.phase <- Terminal (Done { rounds = s.rounds_total; incarnations = s.incarnations; state });
     Admission.release adm
+  in
+  (* Sessions [0, !released) have had their arenas dropped.  Session
+     [w] goes once the sessions above it hold [retain] events. *)
+  let released = ref 0 in
+  let events s = match s.trace with Some t -> t.events | None -> 0 in
+  let release_retired () =
+    let above = ref 0 in
+    for i = !released + 1 to n - 1 do
+      above := !above + events sessions.(i)
+    done;
+    while !released < n && !above >= retain do
+      Option.iter (fun t -> t.arena <- None) sessions.(!released).trace;
+      incr released;
+      if !released < n then above := !above - events sessions.(!released)
+    done
   in
   let terminal s = match s.phase with Terminal _ -> true | _ -> false in
   let all_terminal () = Array.for_all terminal sessions in
@@ -490,6 +537,7 @@ let run ?(chaos = Chaos.none) ?(config = default_config) ?jobs ?(groups = [])
                   Terminal (Deadline_exceeded { incarnations = s.incarnations })
             | _ -> ())
           sessions;
+        if retain < max_int then release_retired ();
         match on_tick with Some f -> f ~tick | None -> ()
       done);
   (* Anything still live when the tick budget ran out. *)
@@ -503,16 +551,22 @@ let run ?(chaos = Chaos.none) ?(config = default_config) ?jobs ?(groups = [])
       sessions
   in
   (* Replay the merged trace — session arenas in id order — into the
-     ambient sink that was installed when the engine was entered. *)
+     ambient sink that was installed when the engine was entered: the
+     released prefix as one [discard], then every kept arena. *)
   if tracing then begin
     let replay =
-      match Trace.encoded () with
-      | Some push ->
+      match offer with
+      | Some o ->
+          let dropped = ref 0 in
+          for i = 0 to !released - 1 do
+            dropped := !dropped + events sessions.(i)
+          done;
+          if !dropped > 0 then o.Trace.discard !dropped;
           fun b len ->
             let rec go p =
               if p < len then begin
                 let q = Binary.skip_event b p in
-                push b p (q - p);
+                o.Trace.push b p (q - p);
                 go q
               end
             in
@@ -521,9 +575,9 @@ let run ?(chaos = Chaos.none) ?(config = default_config) ?jobs ?(groups = [])
     in
     Array.iter
       (fun s ->
-        Option.iter
-          (fun t -> replay (Binary.enc_bytes t.arena) (Binary.enc_len t.arena))
-          s.trace)
+        match s.trace with
+        | Some { arena = Some a; _ } -> replay (Binary.enc_bytes a) (Binary.enc_len a)
+        | _ -> ())
       sessions
   end;
   let count f = Array.fold_left (fun acc o -> if f o then acc + 1 else acc) 0 outcomes in

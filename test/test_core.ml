@@ -157,7 +157,7 @@ let test_exec_message_timing () =
       ~config:(Exec.config ~horizon:5 ())
       ~goal:echo_goal ~user:ping ~server:echo_server (Rng.make 6)
   in
-  let round n = List.nth (History.rounds history) (n - 1) in
+  let round n = List.nth (Helpers.history_rounds history) (n - 1) in
   Alcotest.(check bool) "user sends in r1" true
     ((round 1).History.Round.user_to_server = Msg.Int 1);
   Alcotest.(check bool) "server silent in r1" true

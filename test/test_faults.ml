@@ -120,9 +120,32 @@ let test_spec_parser () =
   (match Fault.of_string ~alphabet "bogus:1" with
   | Ok _ -> Alcotest.fail "bogus spec accepted"
   | Error _ -> ());
-  match Fault.of_string ~alphabet "drop:1.5" with
-  | Ok _ -> Alcotest.fail "out-of-range prob accepted"
-  | Error _ -> ()
+  List.iter
+    (fun spec ->
+      match Fault.of_string ~alphabet spec with
+      | Ok _ -> Alcotest.failf "out-of-range prob accepted: %S" spec
+      | Error _ -> ())
+    [ "drop:1.5"; "drop:nan"; "loss:nan"; "corrupt:nan"; "burst:0.1,nan,0.9" ]
+
+(* Fuzzed specs: random bytes, grammar-alphabet noise and edited valid
+   stacks.  The parser answers Ok/Error (or raises Invalid_argument),
+   never another exception, within a second; an accepted stack's name
+   carries no NaN or infinite parameter. *)
+let prop_stack_of_string_total =
+  let valid =
+    [
+      "nop"; "delay:3"; "drop:0.1"; "loss:0.25"; "dup"; "corrupt:0.05";
+      "reorder:2"; "burst:0.1,0.2,0.9"; "crash:60"; "intermittent:5,3";
+      "adversary:4"; "corrupt:0.05+crash:60"; "crash:60+loss:0.1+dup";
+    ]
+  in
+  let finite_name f =
+    let name = String.lowercase_ascii (Fault.name f) in
+    not (Helpers.contains name "nan" || Helpers.contains name "inf")
+  in
+  QCheck.Test.make ~count:2000 ~name:"Fault.stack_of_string: fuzzed specs fail cleanly"
+    (QCheck.make ~print:String.escaped (Helpers.spec_fuzz_gen ~valid))
+    (Helpers.parser_total ~accepted:finite_name (Fault.stack_of_string ~alphabet))
 
 (* Malformed specs must come back with an error a user can act on: the
    offending token, and — for unknown names — the full vocabulary. *)
@@ -134,12 +157,7 @@ let test_spec_errors () =
   in
   let check_contains spec needle =
     let e = err spec in
-    let contains hay needle =
-      let nh = String.length hay and nn = String.length needle in
-      let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-      nn = 0 || go 0
-    in
-    if not (contains e needle) then
+    if not (Helpers.contains e needle) then
       Alcotest.failf "error for %S does not mention %s: %s" spec needle e
   in
   (* Unknown names: the token itself plus every valid fault name. *)
@@ -182,14 +200,9 @@ let test_loss_alias () =
     | Ok _ -> Alcotest.failf "malformed spec %S accepted" spec
     | Error e -> e
   in
-  let contains hay needle =
-    let nh = String.length hay and nn = String.length needle in
-    let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-    nn = 0 || go 0
-  in
   let check_contains spec needle =
     let e = err spec in
-    if not (contains e needle) then
+    if not (Helpers.contains e needle) then
       Alcotest.failf "error for %S does not mention %s: %s" spec needle e
   in
   check_contains "loss:zz" "loss:P wants a float";
@@ -267,7 +280,7 @@ let prop_fault_runs_deterministic =
         faulted_printing_run ~spec ~dialect_idx:(seed mod alphabet) ~seed
           ~horizon:200
       in
-      History.rounds (run ()) = History.rounds (run ()))
+      Helpers.history_rounds (run ()) = Helpers.history_rounds (run ()))
 
 let identity_specs =
   [ "nop"; "delay:0"; "drop:0.0"; "corrupt:0.0"; "reorder:0"; "intermittent:9,0" ]
@@ -285,7 +298,7 @@ let prop_identity_faults_are_noops =
         faulted_printing_run ~spec ~dialect_idx:(seed mod alphabet) ~seed
           ~horizon:200
       in
-      History.rounds bare = History.rounds wrapped)
+      Helpers.history_rounds bare = Helpers.history_rounds wrapped)
 
 (* Checkpointed enumeration: crash-tolerant universal users *)
 
@@ -578,6 +591,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_sensing_safe_under_faults;
     QCheck_alcotest.to_alcotest prop_fault_runs_deterministic;
     QCheck_alcotest.to_alcotest prop_identity_faults_are_noops;
+    QCheck_alcotest.to_alcotest prop_stack_of_string_total;
   ]
 
 let () = Alcotest.run "faults" [ ("faults", suite) ]

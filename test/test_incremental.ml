@@ -397,9 +397,9 @@ let prop_history_length_prefix =
     (QCheck.make QCheck.Gen.(pair history_gen (int_bound 32)))
     (fun (h, n) ->
       let p = History.prefix n h in
-      History.length h = List.length (History.rounds h)
-      && History.rounds p = Listx.take n (History.rounds h)
-      && History.length p = List.length (History.rounds p))
+      History.length h = List.length (Helpers.history_rounds h)
+      && Helpers.history_rounds p = Listx.take n (Helpers.history_rounds h)
+      && History.length p = List.length (Helpers.history_rounds p))
 
 let suite =
   List.map QCheck_alcotest.to_alcotest

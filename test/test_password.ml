@@ -35,7 +35,7 @@ let test_no_feedback_on_wrong_guess () =
     (fun (r : History.Round.t) ->
       Alcotest.(check bool) "server stays silent" true
         (Msg.is_silence r.server_to_user && Msg.is_silence r.server_to_world))
-    (History.rounds history)
+    (Helpers.history_rounds history)
 
 let test_sweeper_unlocks_everything () =
   let space = 32 in

@@ -289,7 +289,7 @@ let prop_exec_history_well_formed =
       in
       List.for_all2
         (fun (r : History.Round.t) i -> r.index = i)
-        (History.rounds h)
+        (Helpers.history_rounds h)
         (Listx.range 1 (History.length h + 1)))
 
 let prop_view_prefix_lengths =
@@ -498,7 +498,7 @@ let prop_exec_silent_after_halt =
               round.index <= r
               || (Msg.is_silence round.user_to_server
                  && Msg.is_silence round.user_to_world))
-            (History.rounds h))
+            (Helpers.history_rounds h))
 
 let prop_exec_drain_bound =
   QCheck.Test.make ~count:60 ~name:"Exec: run ends within drain rounds of the halt"
@@ -591,7 +591,7 @@ let prop_history_chunks_equal_list_model =
       let init = Msg.Int 0 in
       let h = History.make ~initial_world_view:init rounds in
       let n = List.length rounds in
-      History.rounds h = rounds
+      Helpers.history_rounds h = rounds
       && History.length h = n
       && History.world_views h
          = init :: List.map (fun (r : History.Round.t) -> r.world_view) rounds
@@ -613,7 +613,7 @@ let prop_history_chunks_equal_list_model =
       &&
       let p = History.prefix cut h in
       let cut = min cut n in
-      History.rounds p = Listx.take cut rounds
+      Helpers.history_rounds p = Listx.take cut rounds
       && History.length p = cut
       && History.halt_round p
          = List.find_map
@@ -635,7 +635,7 @@ let prop_history_builder_equals_make =
       List.iter (History.Builder.add b) rounds;
       let incremental = History.Builder.finish b in
       let oneshot = History.make ~initial_world_view:init rounds in
-      History.rounds incremental = History.rounds oneshot
+      Helpers.history_rounds incremental = Helpers.history_rounds oneshot
       && History.length incremental = History.length oneshot
       && History.Builder.length b = List.length rounds
       && History.halt_round incremental = History.halt_round oneshot

@@ -190,6 +190,28 @@ let arrival_of spec =
   | Ok a -> a
   | Error e -> Alcotest.fail e
 
+(* Fuzzed specs: random bytes, grammar-alphabet noise and edited valid
+   specs.  The parser answers Ok/Error (or raises Invalid_argument),
+   never another exception, within a second; what it accepts is a
+   process [Arrival.draw] can run: finite, non-negative rates and a
+   switch probability in [0,1]. *)
+let prop_arrival_of_string_total =
+  let valid =
+    [ "bang"; "all"; "0"; "7"; "constant:3"; "poisson:2.5"; "mmpp:1,8:0.2"; "mmpp:1,2,3" ]
+  in
+  let rate r = Float.is_finite r && r >= 0. in
+  let accepted = function
+    | Arrival.Bang -> true
+    | Arrival.Constant k -> k > 0
+    | Arrival.Poisson r -> rate r
+    | Arrival.Mmpp { rates; switch } ->
+        Array.length rates >= 2 && Array.for_all rate rates && switch >= 0.
+        && switch <= 1.
+  in
+  QCheck.Test.make ~count:2000 ~name:"Arrival.of_string: fuzzed specs fail cleanly"
+    (QCheck.make ~print:String.escaped (Helpers.spec_fuzz_gen ~valid))
+    (Helpers.parser_total ~accepted Arrival.of_string)
+
 let test_arrival_parse () =
   Alcotest.(check bool) "bang" true (arrival_of "bang" = Arrival.Bang);
   Alcotest.(check bool) "0 is bang" true (arrival_of "0" = Arrival.Bang);
@@ -416,44 +438,67 @@ let test_engine_fairshare_deterministic () =
 
 (* The engine replays its per-session trace arenas into the ambient
    sink.  A ring's own [domain_sink] offers the encoded fast path, so
-   each event's bytes are copied in verbatim; a wrapper closure around
-   the same ring offers nothing, so events are decoded and re-encoded;
-   a Recorder receives decoded events.  All three must capture the same
-   stream (the two rings slot for slot, byte for byte, also once
-   eviction starts), and tracing must not move the outcome digest. *)
+   each event's bytes are copied in verbatim and the arenas of sessions
+   the ring cannot retain are released and replayed as one [discard];
+   a wrapper closure around the same ring offers nothing, so every
+   event is decoded and re-encoded; a Recorder receives decoded events.
+   All three must capture the same stream: the two rings slot for
+   slot, byte for byte, with equal [length] and [evicted], at every
+   capacity from one slot to more than the run emits, and also when
+   the ring already held events before the run.  Tracing must not move
+   the outcome digest. *)
 let test_engine_trace_paths_agree () =
   let module Ring = Goalcom_obs.Ring in
   let run ~jobs () =
     run_fairshare ~chaos:chaos_spec_small ~jobs ~seed:13 ()
   in
+  let last k l = List.filteri (fun i _ -> i >= List.length l - k) l in
   List.iter
     (fun jobs ->
-      let at what = Printf.sprintf "jobs=%d: %s" jobs what in
       let untraced = (run ~jobs ()).Engine.digest in
       let recorded, events = Goalcom_obs.Recorder.record (run ~jobs) in
-      Alcotest.(check string) (at "recorded digest") untraced recorded.Engine.digest;
-      let capture capacity ~fast =
-        let r = Ring.create ~capacity in
-        let sink = if fast then Ring.domain_sink r else fun ev -> Ring.sink r ev in
-        let report =
-          Trace.with_sink sink (fun () ->
-              Alcotest.(check bool) (at "fast path offered") fast
-                (Option.is_some (Trace.encoded ()));
-              run ~jobs ())
-        in
-        Alcotest.(check string) (at "ring digest") untraced report.Engine.digest;
-        r
-      in
+      Alcotest.(check string)
+        (Printf.sprintf "jobs=%d: recorded digest" jobs)
+        untraced recorded.Engine.digest;
       let all = List.length events in
-      let fast = capture all ~fast:true and slow = capture all ~fast:false in
-      Alcotest.(check int) (at "nothing evicted") 0 (Ring.evicted fast);
-      Alcotest.(check bool) (at "fast ring = recorder") true (Ring.events fast = events);
-      Alcotest.(check bool) (at "decode ring = recorder") true (Ring.events slow = events);
-      Alcotest.(check (list string)) (at "slots") (Ring.slots slow) (Ring.slots fast);
-      let fast = capture 97 ~fast:true and slow = capture 97 ~fast:false in
-      Alcotest.(check int) (at "evicted") (all - 97) (Ring.evicted fast);
-      Alcotest.(check int) (at "evicted alike") (Ring.evicted slow) (Ring.evicted fast);
-      Alcotest.(check (list string)) (at "tail slots") (Ring.slots slow) (Ring.slots fast))
+      (* Events that are not the engine's, to pre-fill a ring with. *)
+      let earlier =
+        List.init 7 (fun k ->
+            Trace.Supervise { tick = -k; session = -1; action = "prefill"; detail = "" })
+      in
+      let agree ?(prefill = []) capacity =
+        let at what =
+          Printf.sprintf "jobs=%d capacity=%d%s: %s" jobs capacity
+            (if prefill = [] then "" else " pre-filled")
+            what
+        in
+        let capture ~fast =
+          let r = Ring.create ~capacity in
+          let sink = if fast then Ring.domain_sink r else fun ev -> Ring.sink r ev in
+          let report =
+            Trace.with_sink sink (fun () ->
+                List.iter sink prefill;
+                Alcotest.(check bool) (at "fast path offered") fast
+                  (Option.is_some (Trace.encoded ()));
+                run ~jobs ())
+          in
+          Alcotest.(check string) (at "ring digest") untraced report.Engine.digest;
+          r
+        in
+        let fast = capture ~fast:true and slow = capture ~fast:false in
+        let stream = prefill @ events in
+        let pushed = List.length stream in
+        Alcotest.(check (list string)) (at "slots") (Ring.slots slow) (Ring.slots fast);
+        Alcotest.(check int) (at "length") (Ring.length slow) (Ring.length fast);
+        Alcotest.(check int) (at "length = min") (min capacity pushed) (Ring.length fast);
+        Alcotest.(check int) (at "evicted") (Ring.evicted slow) (Ring.evicted fast);
+        Alcotest.(check int) (at "evicted = overflow")
+          (max 0 (pushed - capacity)) (Ring.evicted fast);
+        Alcotest.(check bool) (at "fast ring = recorder tail") true
+          (Ring.events fast = last capacity stream)
+      in
+      List.iter (fun c -> agree c) [ 1; 97; all - 1; all; all + 1 ];
+      List.iter (fun c -> agree ~prefill:earlier c) [ 1; 97; all; all + 7 ])
     [ 1; 2; 4 ]
 
 let test_engine_fairshare_completes () =
@@ -541,6 +586,7 @@ let suite =
     ("engine arrivals compat", `Quick, test_engine_arrivals_compat);
     ("engine trace paths agree", `Quick, test_engine_trace_paths_agree);
     QCheck_alcotest.to_alcotest prop_crash_restart_reaches_same_state;
+    QCheck_alcotest.to_alcotest prop_arrival_of_string_total;
   ]
 
 let () = Alcotest.run "session" [ ("session", suite) ]

@@ -1,7 +1,7 @@
 (* Telemetry-layer tests: the binary event codec (qcheck roundtrips,
    including adversarial Text payloads; the boundary finder and decode
-   fuzzing), the ring sink's wrap/eviction/compaction behaviour and its
-   raw-slice push, the ring-vs-JSONL capture acceptance on a real
+   fuzzing), the ring sink's wrap/eviction/compaction behaviour, its
+   raw-slice push and its discard, the ring-vs-JSONL capture acceptance on a real
    supervised run, Rollup merge determinism across jobs counts, and the
    golden stats snapshot frozen by `goalcom trace-golden`. *)
 
@@ -322,7 +322,7 @@ let test_ring_encoded_push_matches_event_push () =
       List.iteri
         (fun k (ev, (off, len)) ->
           Ring.sink by_event ev;
-          push b off len;
+          push.Trace.push b off len;
           if (k + 1) mod 1000 = 0 then begin
             let at what =
               Printf.sprintf "capacity %d, %d pushed: %s" capacity (k + 1) what
@@ -341,6 +341,45 @@ let test_ring_encoded_push_matches_event_push () =
       if dead <= retained + 4096 then
         Alcotest.failf "capacity %d: %d dead bytes never force a compaction" capacity dead)
     [ 1; 7; 4096 ]
+
+(* The offer's [discard k] stands for [k] pushes the ring would evict:
+   followed by at least [capacity] pushes, it leaves the ring exactly
+   as pushing [k] events first would — whatever the ring held before,
+   and whatever the [k] events were. *)
+let prop_ring_discard_then_fill =
+  QCheck.Test.make ~count:qcount
+    ~name:"Ring: discard k then >= capacity pushes = k pushes first"
+    QCheck.(
+      make
+        ~print:(fun (c, (p, (k, (m, _)))) ->
+          Printf.sprintf "capacity %d, prefill %d, k %d, %d more" c p k m)
+        QCheck.Gen.(
+          pair (1 -- 40)
+            (pair (0 -- 50) (pair (0 -- 100) (pair (0 -- 20) (list_size (return 210) event_gen))))))
+    (fun (capacity, (prefill, (k, (extra, evs)))) ->
+      let at i = List.nth evs (i mod List.length evs) in
+      let pushed = Ring.create ~capacity and discarded = Ring.create ~capacity in
+      let offer =
+        match Trace.with_sink (Ring.domain_sink discarded) Trace.encoded with
+        | Some o -> o
+        | None -> QCheck.Test.fail_report "Ring.domain_sink makes no offer"
+      in
+      for i = 0 to prefill - 1 do
+        Ring.sink pushed (at i);
+        Ring.sink discarded (at i)
+      done;
+      for i = 0 to k - 1 do
+        Ring.sink pushed (at (prefill + i))
+      done;
+      offer.Trace.discard k;
+      for i = 0 to capacity + extra - 1 do
+        let ev = at (prefill + k + i) in
+        Ring.sink pushed ev;
+        Ring.sink discarded ev
+      done;
+      Ring.slots pushed = Ring.slots discarded
+      && Ring.length pushed = Ring.length discarded
+      && Ring.evicted pushed = Ring.evicted discarded)
 
 (* --- Capture acceptance: ring vs JSONL on a supervised run ------------ *)
 
@@ -489,6 +528,7 @@ let suite =
       test_ring_compaction_preserves_tail;
     Alcotest.test_case "ring encoded push = event push" `Quick
       test_ring_encoded_push_matches_event_push;
+    QCheck_alcotest.to_alcotest prop_ring_discard_then_fill;
     Alcotest.test_case "ring matches jsonl capture" `Quick
       test_ring_matches_jsonl_capture;
     Alcotest.test_case "rollup deterministic across jobs" `Quick

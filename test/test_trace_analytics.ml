@@ -122,6 +122,35 @@ let exact_bytes () =
   check {|{"ev":"resume","index":0,"slots":7}|}
     (Trace.Resume { index = 0; slots = 7 })
 
+(* The writers replace a trace file whole: a callback that raises
+   mid-write leaves the previous file as it was and no temporary file
+   behind, and a finished write leaves only the new file. *)
+let writers_atomic () =
+  let path = Filename.temp_file "jsonl_atomic" ".jsonl" in
+  let tmp = path ^ ".tmp" in
+  let old = [ Trace.Round_start { round = 1 }; Trace.Halt { round = 1 } ] in
+  let fresh = [ Trace.Round_start { round = 2 } ] in
+  let on_disk what expected =
+    Alcotest.(check bool) what true (Obs.Jsonl.of_file path = Ok expected);
+    Alcotest.(check bool) (what ^ ": no temp file") false (Sys.file_exists tmp)
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter Sys.remove (List.filter Sys.file_exists [ path; tmp ]))
+    (fun () ->
+      Obs.Jsonl.to_file path old;
+      on_disk "to_file writes" old;
+      (match
+         Obs.Jsonl.with_file ~buffer_bytes:1 path (fun sink ->
+             List.iter sink fresh;
+             failwith "writer died")
+       with
+      | () -> Alcotest.fail "the callback's exception was swallowed"
+      | exception Failure _ -> ());
+      on_disk "a raising callback keeps the old file" old;
+      Obs.Jsonl.with_file path (fun sink -> List.iter sink fresh);
+      on_disk "with_file replaces" fresh)
+
 (* Committed golden files: parse back, revalidate, re-serialize
    byte-identically. *)
 let golden_path name = Filename.concat "golden" (name ^ ".jsonl")
@@ -481,7 +510,10 @@ let () =
     [
       ( "jsonl",
         QCheck_alcotest.to_alcotest prop_jsonl_roundtrip
-        :: [ Alcotest.test_case "exact bytes" `Quick exact_bytes ] );
+        :: [
+             Alcotest.test_case "exact bytes" `Quick exact_bytes;
+             Alcotest.test_case "writers are atomic" `Quick writers_atomic;
+           ] );
       ("golden-roundtrip", golden_cases golden_roundtrip);
       ( "attribution",
         golden_cases attribution_sums

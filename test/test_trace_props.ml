@@ -181,7 +181,7 @@ let prop_tracing_does_not_perturb =
       in
       let untraced = run () in
       let traced, _ = Goalcom_obs.Recorder.record run in
-      History.rounds untraced = History.rounds traced)
+      Helpers.history_rounds untraced = Helpers.history_rounds traced)
 
 let prop_history_replay_matches_live =
   (* History.trace_events reconstructs exactly the engine-level

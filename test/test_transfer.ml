@@ -35,7 +35,7 @@ let test_mismatch_fails_with_errors () =
   let errs =
     Listx.count
       (fun (r : History.Round.t) -> r.server_to_user = Msg.Text "err")
-      (History.rounds history)
+      (Helpers.history_rounds history)
   in
   Alcotest.(check bool) "server complained" true (errs > 0)
 
