@@ -1,6 +1,6 @@
 # Tier-1 verification in one command: `make check`.
 
-.PHONY: all build test check ci bench bench-sched bench-check clean
+.PHONY: all build test check ci bench bench-sched bench-check loc clean
 
 all: build
 
@@ -39,6 +39,7 @@ ci: check
 	head -1 /tmp/e1.jsonl | grep -q '^{"ev":"'
 	dune exec bin/main.exe -- trace stats /tmp/e1.jsonl
 	dune exec bin/main.exe -- trace attribution /tmp/e1.jsonl
+	dune exec bin/main.exe -- demo printing --user universal --trace | grep -q 'overhead ledger'
 	dune exec bin/main.exe -- trace diff /tmp/e1.jsonl /tmp/e1.jsonl
 	dune exec bin/main.exe -- trace-golden test/golden
 	git diff --exit-code test/golden
@@ -101,6 +102,14 @@ bench-sched:
 # exit 1 on any regression.
 bench-check:
 	dune exec --profile release bench/main.exe -- --check
+
+# Non-test code size: .ml + .mli lines under lib, bin and bench, and
+# their sum (the number ROADMAP tracks).
+loc:
+	@total=0; for d in lib bin bench; do \
+	  n=$$(find $$d \( -name '*.ml' -o -name '*.mli' \) -exec cat {} + | wc -l); \
+	  printf '%-5s %6d\n' $$d $$n; total=$$((total + n)); \
+	done; printf '%-5s %6d\n' total $$total
 
 clean:
 	dune clean

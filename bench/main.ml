@@ -288,7 +288,7 @@ let micro_exec_round =
   in
   let goal =
     Goal.make ~name:"noop" ~worlds:[ world ]
-      ~referee:(Referee.finite "t" (fun _ -> true))
+      ~referee:(Referee.finite_exists "t" (fun _ -> true))
   in
   let user = Strategy.stateless ~name:"mute" (fun (_ : Io.User.obs) -> Io.User.silent) in
   let server = Strategy.stateless ~name:"mute" (fun (_ : Io.Server.obs) -> Io.Server.silent) in
@@ -408,8 +408,8 @@ let write_fault_json rows =
    (below) driving the exact same strategies; the replica is checked
    against Exec.run for bit-identical histories before timing.  On top
    of the no-sink point we time the attached-sink variants: Trace.null
-   (pure dispatch cost), the Metrics aggregator, the binary ring
-   buffer, and JSONL rendering into a Buffer. *)
+   (pure dispatch cost), the binary ring buffer, and JSONL rendering
+   into a Buffer. *)
 
 let replica_run ~config ~goal ~user ~server rng =
   let user_rng = Rng.split rng in
@@ -508,7 +508,6 @@ let measure_trace_overhead ~rounds ~budget () =
   if not fidelity then
     failwith "trace overhead: replica loop diverged from Exec.run";
   let buf = Buffer.create 65536 in
-  let metrics = Goalcom_obs.Metrics.create () in
   (* Sized to hold a full 2000-round run (~18k events) without
      evicting, so the measured cost is encode+store, not wrap
      bookkeeping (which is cheaper: same store, no Buffer growth). *)
@@ -526,13 +525,6 @@ let measure_trace_overhead ~rounds ~budget () =
         fun k ->
           ignore
             (Exec.run ~sink:Trace.null ~config ~goal ~user ~server
-               (Rng.make (seed + k))) );
-      ( "metrics sink",
-        fun k ->
-          ignore
-            (Exec.run
-               ~sink:(Goalcom_obs.Metrics.sink metrics)
-               ~config ~goal ~user ~server
                (Rng.make (seed + k))) );
       ( "ring sink (binary)",
         fun k ->

@@ -128,13 +128,22 @@ let all_cmd =
 
 (* demo *)
 
-let goal_conv =
-  Arg.enum
-    [
-      ("printing", `Printing); ("maze", `Maze); ("control", `Control);
-      ("password", `Password); ("delegation", `Delegation); ("transfer", `Transfer);
-      ("prediction", `Prediction); ("counting", `Counting);
-    ]
+let goals =
+  [
+    ("printing", `Printing); ("maze", `Maze); ("control", `Control);
+    ("password", `Password); ("delegation", `Delegation); ("transfer", `Transfer);
+    ("prediction", `Prediction); ("counting", `Counting);
+  ]
+
+let goal_conv = Arg.enum goals
+
+(* The GOAL positional of demo, check and transcript: its help lists
+   the names [goal_conv] accepts, so the two cannot drift apart. *)
+let goal_arg what =
+  Arg.(required & pos 0 (some goal_conv) None
+       & info [] ~docv:"GOAL"
+           ~doc:(Printf.sprintf "%s $(docv) must be %s." what
+                   (doc_alts_enum goals)))
 
 let user_conv =
   Arg.enum
@@ -144,11 +153,7 @@ let user_conv =
     ]
 
 let demo_cmd =
-  let goal_arg =
-    Arg.(required & pos 0 (some goal_conv) None
-         & info [] ~docv:"GOAL"
-             ~doc:"One of printing, maze, control, password, delegation, transfer.")
-  in
+  let goal_arg = goal_arg "Goal to run." in
   let user_arg =
     Arg.(value & opt user_conv `Universal
          & info [ "user" ] ~docv:"USER" ~doc:"universal | oracle | fixed | random.")
@@ -174,7 +179,7 @@ let demo_cmd =
     Arg.(value & flag
          & info [ "trace" ]
              ~doc:"Stream the execution trace to stdout (compact form) and \
-                   print a metrics summary after the run.")
+                   print the run's attribution and overhead ledger after it.")
   in
   let run goal_kind user_kind dialect_idx horizon fault_specs trace seed =
     let alphabet = 6 in
@@ -252,18 +257,16 @@ let demo_cmd =
         Fault.nop fault_specs
     in
     let server = Goalcom_faults.Fault.apply fault server in
-    let meter =
-      if trace then
-        Some (Goalcom_obs.Metrics.create ~clock:Unix.gettimeofday ())
-      else None
+    let recorder =
+      if trace then Some (Goalcom_obs.Recorder.create ()) else None
     in
     let sink =
       Option.map
-        (fun m ->
+        (fun r ->
           Trace.tee
             (Goalcom_obs.Pretty.sink Format.std_formatter)
-            (Goalcom_obs.Metrics.sink m))
-        meter
+            (Goalcom_obs.Recorder.sink r))
+        recorder
     in
     let outcome, history =
       Exec.run_outcome ?sink
@@ -276,10 +279,11 @@ let demo_cmd =
     Format.printf "outcome : %a@." Outcome.pp outcome;
     Format.printf "rounds  : %d@." (History.length history);
     Option.iter
-      (fun m ->
-        Format.printf "metrics :@.%a@." Goalcom_obs.Metrics.pp
-          (Goalcom_obs.Metrics.summary m))
-      meter
+      (fun r ->
+        let runs = Goalcom_obs.Span.of_events (Goalcom_obs.Recorder.events r) in
+        Table.print (Goalcom_obs.Span.runs_table runs);
+        Table.print (Goalcom_obs.Span.ledger_table (Goalcom_obs.Span.ledger runs)))
+      recorder
   in
   Cmd.v
     (Cmd.info "demo" ~doc:"Run one goal once and report the outcome.")
@@ -289,10 +293,7 @@ let demo_cmd =
 (* check *)
 
 let check_cmd =
-  let goal_arg =
-    Arg.(required & pos 0 (some goal_conv) None
-         & info [] ~docv:"GOAL" ~doc:"Goal whose sensing/helpfulness to validate.")
-  in
+  let goal_arg = goal_arg "Goal whose sensing/helpfulness to validate." in
   let run goal_kind seed =
     let alphabet = 4 in
     let dialects = Dialect.enumerate_rotations ~size:alphabet in
@@ -368,10 +369,7 @@ let check_cmd =
 (* transcript *)
 
 let transcript_cmd =
-  let goal_arg =
-    Arg.(required & pos 0 (some goal_conv) None
-         & info [] ~docv:"GOAL" ~doc:"Goal to run and dump.")
-  in
+  let goal_arg = goal_arg "Goal to run and dump." in
   let dialect_arg =
     Arg.(value & opt int 1 & info [ "dialect" ] ~docv:"K" ~doc:"Server dialect index.")
   in
@@ -945,10 +943,7 @@ let trace_golden_cmd =
         Printf.printf "wrote %s (%d events)\n" path (List.length events))
       Trace_cases.all;
     let stats_path = Filename.concat dir "stats_e18_chaos.json" in
-    let oc = open_out stats_path in
-    output_string oc (Trace_cases.rollup_stats ());
-    output_char oc '\n';
-    close_out oc;
+    File.write_atomic stats_path (Trace_cases.rollup_stats () ^ "\n");
     Printf.printf "wrote %s\n" stats_path
   in
   Cmd.v
@@ -1074,10 +1069,7 @@ and trace_export_cmd =
     match out with
     | None -> print_string rendered
     | Some out_path ->
-        let oc = open_out out_path in
-        Fun.protect
-          ~finally:(fun () -> close_out oc)
-          (fun () -> output_string oc rendered);
+        File.write_atomic out_path rendered;
         Printf.printf "wrote %s (%d bytes)\n" out_path (String.length rendered)
   in
   Cmd.v

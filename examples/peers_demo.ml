@@ -25,7 +25,7 @@ let world =
 
 let goal =
   Goal.make ~name:"mutual-greeting" ~worlds:[ world ]
-    ~referee:(Referee.finite "both-greeted" (fun views -> List.mem (Msg.Int 2) views))
+    ~referee:(Referee.finite_exists "both-greeted" (Msg.equal (Msg.Int 2)))
 
 let initiator d =
   let hello = Dialect_msg.encode d (Msg.Sym greet_cmd) in
@@ -48,10 +48,8 @@ let responder d =
       else Io.User.silent)
 
 let sensing =
-  Sensing.of_predicate ~name:"both-done" (fun view ->
-      match View.latest view with
-      | Some e -> e.View.from_world = Msg.Int 2
-      | None -> false)
+  Sensing.of_latest ~name:"both-done" ~empty:false (fun e ->
+      Msg.equal e.View.from_world (Msg.Int 2))
 
 let () =
   let dialects = Dialect.enumerate_rotations ~size:alphabet in

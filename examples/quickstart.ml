@@ -28,7 +28,7 @@ let goal magic =
   Goal.make ~name:"open-the-cave"
     ~worlds:[ world magic ]
     ~referee:
-      (Referee.finite "cave-opened" (fun views -> List.mem (Msg.Text "open") views))
+      (Referee.finite_exists "cave-opened" (Msg.equal (Msg.Text "open")))
 
 (* 2. The server class: picky helper k relays the magic number to the
    world, but only when poked with its own key [Int k].  The
@@ -52,10 +52,8 @@ let poker k =
 
 (* 4. Sensing: the world's broadcast is feedback the user can see. *)
 let sensing =
-  Sensing.of_predicate ~name:"cave-open" (fun view ->
-      match View.latest view with
-      | Some e -> e.View.from_world = Msg.Text "open"
-      | None -> false)
+  Sensing.of_latest ~name:"cave-open" ~empty:false (fun e ->
+      Msg.equal e.View.from_world (Msg.Text "open"))
 
 let () =
   let magic = 4 in

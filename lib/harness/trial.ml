@@ -8,7 +8,6 @@ type result = {
   rounds_to_success : float list;
   mean_rounds : float;
   unsafe_halts : int;
-  metrics : Goalcom_obs.Metrics.summary option;
 }
 
 (* Structural compare rather than (=): mean_rounds is nan when no trial
@@ -73,25 +72,12 @@ let acc_result ~trials acc =
       (if rounds_to_success = [] then Float.nan
        else Stats.mean rounds_to_success);
     unsafe_halts = acc.acc_unsafe;
-    metrics = None;
   }
 
-let run ?config ?tail_window ?sink ?(collect_metrics = false) ?clock ~trials
-    ~seed ~goal ~user ~server () =
+let run ?config ?tail_window ?sink ~trials ~seed ~goal ~user ~server () =
   validate ~fn:"run" ~trials ();
-  let meter =
-    if collect_metrics then Some (Goalcom_obs.Metrics.create ?clock ())
-    else None
-  in
-  (* The caller's sink and the metrics sink share one ambient
-     installation covering every trial, so a single JSONL file (or
-     counter set) spans the whole experiment. *)
-  let sink =
-    match (sink, meter) with
-    | s, None -> s
-    | None, Some m -> Some (Goalcom_obs.Metrics.sink m)
-    | Some s, Some m -> Some (Trace.tee s (Goalcom_obs.Metrics.sink m))
-  in
+  (* The caller's sink is one ambient installation covering every
+     trial, so a single stream spans the whole experiment. *)
   let body () =
     let master = Rng.make seed in
     let acc = acc_create () in
@@ -105,13 +91,10 @@ let run ?config ?tail_window ?sink ?(collect_metrics = false) ?clock ~trials
     done;
     acc_result ~trials acc
   in
-  let result =
-    match sink with None -> body () | Some s -> Trace.with_sink s body
-  in
-  { result with metrics = Option.map Goalcom_obs.Metrics.summary meter }
+  match sink with None -> body () | Some s -> Trace.with_sink s body
 
-let run_par ?config ?tail_window ?sink ?(collect_metrics = false) ?clock ?jobs
-    ?pool ~trials ~seed ~goal ~user ~server () =
+let run_par ?config ?tail_window ?sink ?jobs ?pool ~trials ~seed ~goal ~user
+    ~server () =
   validate ~fn:"run_par" ?jobs ~trials ();
   (* Sequential [run] lets trials emit to whatever ambient sink the
      caller has installed; pool domains inherit no sink, so lift the
@@ -132,29 +115,15 @@ let run_par ?config ?tail_window ?sink ?(collect_metrics = false) ?clock ?jobs
     let recorder =
       if want_events then Some (Goalcom_obs.Recorder.create ()) else None
     in
-    (* Per-trial meter with the real clock: timing must be measured on
-       the executing domain, not under post-hoc replay. *)
-    let meter =
-      if collect_metrics then Some (Goalcom_obs.Metrics.create ?clock ())
-      else None
-    in
-    let trial_sink =
-      match (recorder, meter) with
-      | None, None -> None
-      | Some r, None -> Some (Goalcom_obs.Recorder.sink r)
-      | None, Some m -> Some (Goalcom_obs.Metrics.sink m)
-      | Some r, Some m ->
-          Some
-            (Trace.tee (Goalcom_obs.Recorder.sink r)
-               (Goalcom_obs.Metrics.sink m))
-    in
     let body () =
       Exec.run_outcome ~config ?tail_window ~goal ~user ~server rngs.(i)
     in
     let outcome, _ =
-      match trial_sink with None -> body () | Some s -> Trace.with_sink s body
+      match recorder with
+      | None -> body ()
+      | Some r -> Trace.with_sink (Goalcom_obs.Recorder.sink r) body
     in
-    (outcome, Option.map Goalcom_obs.Recorder.events recorder, meter)
+    (outcome, Option.map Goalcom_obs.Recorder.events recorder)
   in
   let tasks = Array.make trials (task 0) in
   for i = 0 to trials - 1 do
@@ -172,28 +141,16 @@ let run_par ?config ?tail_window ?sink ?(collect_metrics = false) ?clock ?jobs
         Goalcom_par.Pool.with_pool ~jobs (fun p -> Goalcom_par.Pool.run p tasks)
   in
   (* Merge in trial order: replayed events reach the caller's sink in
-     the exact sequence the sequential runner would have emitted, and
-     the per-trial meters collapse into one summary (clockless merging
-     is equality with sequential observation; counters are additive). *)
-  let master_meter =
-    if collect_metrics then Some (Goalcom_obs.Metrics.create ()) else None
-  in
+     the exact sequence the sequential runner would have emitted. *)
   let acc = acc_create () in
   Array.iter
-    (fun (outcome, events, meter) ->
+    (fun (outcome, events) ->
       (match (sink, events) with
       | Some s, Some evs -> List.iter s evs
       | _ -> ());
-      (match (master_meter, meter) with
-      | Some dst, Some src -> Goalcom_obs.Metrics.merge ~into:dst src
-      | _ -> ());
       acc_add goal acc outcome)
     per_trial;
-  let result = acc_result ~trials acc in
-  {
-    result with
-    metrics = Option.map Goalcom_obs.Metrics.summary master_meter;
-  }
+  acc_result ~trials acc
 
 let success_rate ?config ?tail_window ~trials ~seed ~goal ~user ~server () =
   (run ?config ?tail_window ~trials ~seed ~goal ~user ~server ()).success_rate

@@ -19,16 +19,12 @@ type result = {
       (** trials where the user halted yet the referee rejects — a
           sensing-safety violation (finite goals; always 0 when sensing
           is safe) *)
-  metrics : Goalcom_obs.Metrics.summary option;
-      (** aggregated over all trials; [Some] iff [collect_metrics] *)
 }
 
 val run :
   ?config:Exec.config ->
   ?tail_window:int ->
   ?sink:Trace.sink ->
-  ?collect_metrics:bool ->
-  ?clock:(unit -> float) ->
   trials:int ->
   seed:int ->
   goal:Goal.t ->
@@ -41,10 +37,8 @@ val run :
     (so non-deterministic worlds are cycled).
 
     [?sink] is installed as the ambient trace sink for the whole batch,
-    so one stream carries every trial's events.  [?collect_metrics]
-    additionally aggregates a {!Goalcom_obs.Metrics.summary} into the
-    result (teeing with [?sink] if both are given); [?clock] enables
-    its per-round timing.
+    so one stream carries every trial's events; fold it with
+    {!Goalcom_obs.Span} for per-run and per-candidate counts.
     @raise Invalid_argument if [trials <= 0] (message names the entry
     point and the offending value). *)
 
@@ -52,8 +46,6 @@ val run_par :
   ?config:Exec.config ->
   ?tail_window:int ->
   ?sink:Trace.sink ->
-  ?collect_metrics:bool ->
-  ?clock:(unit -> float) ->
   ?jobs:int ->
   ?pool:Goalcom_par.Pool.t ->
   trials:int ->
@@ -68,12 +60,7 @@ val run_par :
     in trial order (the exact sequence {!run} consumes), outcomes are
     aggregated in trial order, and each trial's trace events are
     buffered on the executing domain and replayed to [?sink] in trial
-    order, so the merged stream equals the sequential one.  The only
-    sanctioned divergence is [metrics.round_timing] when [?clock] is
-    given: durations are measured on the executing domain (replay
-    timing would be garbage), so wall-clock figures differ run to run
-    exactly as two sequential runs' would; without [?clock] the metrics
-    summary is equal field-for-field.
+    order, so the merged stream equals the sequential one.
 
     Width is [?pool] (reused across calls, takes precedence), else
     [?jobs], else [Pool.default_jobs] ([--jobs] / [GOALCOM_JOBS], 1 by

@@ -17,7 +17,7 @@ open Goalcom
    The decoder inverts the encoder byte-for-byte (qcheck pins the
    roundtrip over arbitrary events, adversarial Text bytes included),
    so drained rings feed every existing consumer of Trace.event —
-   Jsonl, Trace_diff, Span, Metrics, the golden tests — unchanged.
+   Jsonl, Trace_diff, Span, the golden tests — unchanged.
 
    Integers are OCaml's native 63-bit ints: zigzag folds the sign into
    the low bit ((n lsl 1) lxor (n asr 62), a bijection on the 63-bit

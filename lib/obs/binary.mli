@@ -13,7 +13,7 @@
     {!decode} inverts {!add_event} exactly (the qcheck suite pins the
     roundtrip over arbitrary events, adversarial [Text] bytes
     included), so decoded events feed every existing [Trace.event]
-    consumer — {!Jsonl}, {!Trace_diff}, {!Span}, {!Metrics}, the golden
+    consumer — {!Jsonl}, {!Trace_diff}, {!Span}, the golden
     tests — unchanged.  The format is an in-memory ring layout, not an
     archival format: it carries no version header; {!Jsonl} remains the
     interchange format. *)

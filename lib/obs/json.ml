@@ -90,20 +90,20 @@ let parse (s : string) : (t, string) result =
     in
     while !stop < n && continues s.[!stop] do incr stop done;
     let text = String.sub s pos (!stop - pos) in
+    (* Beyond the float range is an error, not infinity: every parsed
+       value must print back through [to_string]. *)
+    let float () =
+      match float_of_string_opt text with
+      | Some f when Float.is_finite f -> Float f
+      | Some _ -> fail pos "number out of range"
+      | None -> fail pos "bad number"
+    in
     let v =
-      if !is_float then
-        match float_of_string_opt text with
-        | Some f -> Float f
-        | None -> fail pos "bad number"
+      if !is_float then float ()
       else
         match int_of_string_opt text with
         | Some i -> Int i
-        | None -> begin
-            (* An integer too wide for the OCaml int: keep the value. *)
-            match float_of_string_opt text with
-            | Some f -> Float f
-            | None -> fail pos "bad number"
-          end
+        | None -> float () (* an integer too wide for the OCaml int *)
     in
     (v, !stop)
   in

@@ -16,7 +16,9 @@ type t =
 val parse : string -> (t, string) result
 (** Parse one JSON value; trailing non-whitespace input is an error.
     [\uXXXX] escapes decode to single bytes (the writer only emits
-    them for control characters) and error beyond [ÿ]. *)
+    them for control characters) and error beyond [ÿ].  A number
+    beyond the float range is an error, so every parsed value prints
+    back through {!to_string}. *)
 
 val of_file : string -> (t, string) result
 (** {!parse} the whole file; errors are prefixed with the path. *)

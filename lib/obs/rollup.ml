@@ -423,10 +423,12 @@ let to_prometheus s =
   Buffer.contents b
 
 let add_class_json b (c : class_stats) =
+  Buffer.add_string b "{\"class\":\"";
+  Json.add_escaped b c.cls;
   Buffer.add_string b
     (Printf.sprintf
-       "{\"class\":%S,\"admitted\":%d,\"shed\":%d,\"started\":%d,\"restarts\":%d,\"done\":%d,\"failed\":%d,\"gave_up\":%d,\"deadlines\":%d,\"wedges\":%d,\"kills\":%d,\"trips\":%d,\"delivered\":%d,\"collisions\":%d}"
-       c.cls c.admitted c.shed c.started c.restarts c.completed c.failed
+       "\",\"admitted\":%d,\"shed\":%d,\"started\":%d,\"restarts\":%d,\"done\":%d,\"failed\":%d,\"gave_up\":%d,\"deadlines\":%d,\"wedges\":%d,\"kills\":%d,\"trips\":%d,\"delivered\":%d,\"collisions\":%d}"
+       c.admitted c.shed c.started c.restarts c.completed c.failed
        c.gave_up c.deadlines c.wedges c.kills c.trips c.delivered
        c.collisions)
 

@@ -24,6 +24,17 @@ open Goalcom_prelude
    Every Round_start is charged to exactly one span, so per-candidate
    rounds sum to the run total (Run_end.rounds). *)
 
+(* Symbols-on-the-wire weight of a message: atoms count 1, texts their
+   length, silence nothing.  This is the per-round channel usage the
+   paper's overhead statements are about (number of symbols exchanged),
+   not an OCaml heap size. *)
+let rec msg_weight = function
+  | Msg.Silence -> 0
+  | Msg.Sym _ | Msg.Int _ -> 1
+  | Msg.Text s -> String.length s
+  | Msg.Pair (a, b) -> msg_weight a + msg_weight b
+  | Msg.Seq ms -> List.fold_left (fun acc m -> acc + msg_weight m) 0 ms
+
 type span = {
   index : int option;
   first_round : int;
@@ -165,7 +176,7 @@ let observe f (ev : Trace.event) =
       f.f_pending <- round
   | Trace.Emit { src; msg; _ } -> begin
       let s = f.f_open in
-      let w = Metrics.msg_weight msg in
+      let w = msg_weight msg in
       match src with
       | Trace.User ->
           f.f_open <-

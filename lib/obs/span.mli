@@ -32,7 +32,10 @@ type span = {
   user_msgs : int;
   server_msgs : int;
   world_msgs : int;
-  wire_symbols : int;  (** {!Metrics.msg_weight} over the span's emissions *)
+  wire_symbols : int;
+      (** symbols on the wire over the span's emissions: [Sym]/[Int]
+          count 1, [Text] its length, containers the sum of their
+          parts *)
   senses : int;
   negatives : int;
   faults : int;

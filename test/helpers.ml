@@ -14,6 +14,18 @@ let contains hay needle =
   let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
   nn = 0 || go 0
 
+(* [hay] with the first occurrence of [needle] replaced by [by].
+   @raise Not_found if [needle] does not occur. *)
+let replace_first hay needle ~by =
+  let nh = String.length hay and nn = String.length needle in
+  let rec find i =
+    if i + nn > nh then raise Not_found
+    else if String.sub hay i nn = needle then i
+    else find (i + 1)
+  in
+  let i = find 0 in
+  String.sub hay 0 i ^ by ^ String.sub hay (i + nn) (nh - i - nn)
+
 (* --- Fuzzing spec parsers -------------------------------------------- *)
 
 (* Inputs for a spec parser: arbitrary bytes, strings over the

@@ -79,30 +79,31 @@ let test_trial_success_rate () =
   in
   Alcotest.(check (float 1e-9)) "always succeeds" 1.0 rate
 
-let test_trial_metrics () =
+(* Per-run counts come from folding the batch's event stream with
+   Span: one run per trial, each halted, with rounds and user traffic
+   charged — and recording the stream does not perturb the trials. *)
+let test_trial_span () =
+  let module Span = Goalcom_obs.Span in
+  let recorder = Goalcom_obs.Recorder.create () in
   let r =
-    Trial.run ~config ~collect_metrics:true ~trials:3 ~seed:5 ~goal
-      ~user:winner ~server:idle_server ()
+    Trial.run ~config ~sink:(Goalcom_obs.Recorder.sink recorder) ~trials:3
+      ~seed:5 ~goal ~user:winner ~server:idle_server ()
   in
-  match r.Trial.metrics with
-  | None -> Alcotest.fail "metrics requested but absent"
-  | Some m ->
-      Alcotest.(check int) "one run per trial" 3 m.Goalcom_obs.Metrics.runs;
-      Alcotest.(check int) "halt per trial" 3 m.Goalcom_obs.Metrics.halts;
-      Alcotest.(check bool) "rounds counted" true
-        (m.Goalcom_obs.Metrics.rounds > 0);
-      Alcotest.(check bool) "user spoke" true
-        (m.Goalcom_obs.Metrics.user_msgs > 0);
-      Alcotest.(check bool) "clockless => no timing" true
-        (m.Goalcom_obs.Metrics.round_timing = None);
-      let plain =
-        Trial.run ~config ~trials:3 ~seed:5 ~goal ~user:winner
-          ~server:idle_server ()
-      in
-      Alcotest.(check bool) "no metrics by default" true
-        (plain.Trial.metrics = None);
-      Alcotest.(check int) "metrics don't perturb the run" plain.Trial.successes
-        r.Trial.successes
+  let runs = Span.of_events (Goalcom_obs.Recorder.events recorder) in
+  Alcotest.(check int) "one run per trial" 3 (List.length runs);
+  Alcotest.(check bool) "halt per trial" true
+    (List.for_all (fun run -> run.Span.halted) runs);
+  Alcotest.(check bool) "rounds counted" true
+    (List.for_all (fun run -> run.Span.rounds > 0) runs);
+  let ledger = Span.ledger runs in
+  Alcotest.(check int) "ledger halted runs" 3 ledger.Span.halted_runs;
+  Alcotest.(check bool) "user spoke" true
+    (List.exists (fun c -> c.Span.cand_user_msgs > 0) ledger.Span.candidates);
+  let plain =
+    Trial.run ~config ~trials:3 ~seed:5 ~goal ~user:winner ~server:idle_server ()
+  in
+  Alcotest.(check int) "the sink doesn't perturb the run" plain.Trial.successes
+    r.Trial.successes
 
 let test_trial_validation () =
   Alcotest.check_raises "trials"
@@ -186,7 +187,7 @@ let () =
           Alcotest.test_case "flaky rate" `Quick test_trial_flaky_rate;
           Alcotest.test_case "deterministic" `Quick test_trial_deterministic;
           Alcotest.test_case "success rate" `Quick test_trial_success_rate;
-          Alcotest.test_case "metrics" `Quick test_trial_metrics;
+          Alcotest.test_case "span over the sink" `Quick test_trial_span;
           Alcotest.test_case "validation" `Quick test_trial_validation;
         ] );
       ( "experiments",

@@ -1,9 +1,9 @@
 (* Tests for lib/par and the parallel entry points built on it:
    pool internals (work stealing, exception propagation, reuse),
    Trial.run_par's bit-identical contract (qcheck, field for field),
-   the domain-local trace-sink guard, Metrics.merge, merged parallel
-   traces against Trace's invariants, and the Levin racer's winner
-   agreement with the sequential universal construction. *)
+   the domain-local trace-sink guard, merged parallel traces against
+   Trace's invariants, and the Levin racer's winner agreement with the
+   sequential universal construction. *)
 
 open Goalcom
 open Goalcom_prelude
@@ -146,18 +146,27 @@ let prop_run_par_matches_run =
                ~server:idle_server ()))
         [ 1; 2; 4; 8 ])
 
-let test_run_par_metrics () =
-  let seq =
-    Trial.run ~config ~collect_metrics:true ~trials:6 ~seed:5 ~goal ~user:flaky
-      ~server:idle_server ()
+(* The replayed stream of a parallel batch folds to the same overhead
+   ledger as the sequential batch's stream. *)
+let test_run_par_span_ledger () =
+  let traced run =
+    let recorder = Goalcom_obs.Recorder.create () in
+    let result = run (Goalcom_obs.Recorder.sink recorder) in
+    (result, Goalcom_obs.Span.ledger_of_events (Goalcom_obs.Recorder.events recorder))
   in
-  let par =
-    Trial.run_par ~config ~collect_metrics:true ~jobs:4 ~trials:6 ~seed:5 ~goal
-      ~user:flaky ~server:idle_server ()
+  let seq, seq_ledger =
+    traced (fun sink ->
+        Trial.run ~config ~sink ~trials:6 ~seed:5 ~goal ~user:flaky
+          ~server:idle_server ())
+  in
+  let par, par_ledger =
+    traced (fun sink ->
+        Trial.run_par ~config ~sink ~jobs:4 ~trials:6 ~seed:5 ~goal ~user:flaky
+          ~server:idle_server ())
   in
   Alcotest.(check bool) "results equal" true (Trial.equal seq par);
-  Alcotest.(check bool) "clockless metrics equal" true
-    (seq.Trial.metrics = par.Trial.metrics && seq.Trial.metrics <> None)
+  Alcotest.(check int) "one run per trial" 6 seq_ledger.Goalcom_obs.Span.runs;
+  Alcotest.(check bool) "ledgers equal" true (seq_ledger = par_ledger)
 
 let test_run_par_pool_reuse () =
   Pool.with_pool ~jobs:3 (fun pool ->
@@ -216,26 +225,6 @@ let test_sink_guard () =
   (* Once the batch has drained, installs work again. *)
   Trace.set_sink (Some Trace.null);
   Trace.set_sink None
-
-(* --- Metrics.merge ------------------------------------------------- *)
-
-let test_metrics_merge () =
-  let module Metrics = Goalcom_obs.Metrics in
-  let run_into m seed =
-    ignore
-      (Exec.run ~sink:(Metrics.sink m) ~config ~goal ~user:flaky
-         ~server:idle_server (Rng.make seed))
-  in
-  let combined = Metrics.create () in
-  run_into combined 1;
-  run_into combined 2;
-  let a = Metrics.create () in
-  let b = Metrics.create () in
-  run_into a 1;
-  run_into b 2;
-  Metrics.merge ~into:a b;
-  Alcotest.(check bool) "merge = shared observation (clockless)" true
-    (Metrics.summary a = Metrics.summary combined)
 
 (* --- merged parallel traces ---------------------------------------- *)
 
@@ -427,13 +416,13 @@ let () =
       ( "trial",
         QCheck_alcotest.to_alcotest prop_run_par_matches_run
         :: [
-             Alcotest.test_case "metrics merge equal" `Quick test_run_par_metrics;
+             Alcotest.test_case "span ledger = run's" `Quick
+               test_run_par_span_ledger;
              Alcotest.test_case "pool reuse" `Quick test_run_par_pool_reuse;
            ] );
       ( "trace",
         [
           Alcotest.test_case "foreign sink guard" `Quick test_sink_guard;
-          Alcotest.test_case "metrics merge" `Quick test_metrics_merge;
           Alcotest.test_case "parallel trace golden" `Quick
             test_parallel_trace_golden;
         ] );

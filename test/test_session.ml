@@ -282,10 +282,7 @@ let test_arrival_draws () =
 
 (* --- Chaos ------------------------------------------------------------ *)
 
-let contains hay needle =
-  let nh = String.length hay and nn = String.length needle in
-  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-  nn = 0 || go 0
+let contains = Helpers.contains
 
 let chaos_of spec =
   match Chaos.of_string ~alphabet:4 spec with
@@ -321,6 +318,34 @@ let test_chaos_parse_errors () =
     (contains (err "burst:1.5@1..10") "P in [0,1]");
   Alcotest.(check bool) "bad embedded fault stack" true
     (contains (err "fault:bogus:1") "unknown fault")
+
+(* Fuzzed schedules: random bytes, grammar-alphabet noise and edited
+   valid specs.  The parser answers Ok/Error (or raises
+   Invalid_argument), never another exception, within a second; an
+   accepted schedule kills only at positive ticks, targets a valid
+   residue class, and carries no NaN or infinite storm parameter. *)
+let prop_chaos_of_string_total =
+  let valid =
+    [
+      "kill@2,5%3=1"; "crash:10@1..50"; "burst:0.5@1..20%2=0"; "blackout@3..9";
+      "fault:corrupt:0.05+delay:1"; "kill@4;crash:5@1..9%4=3"; "";
+    ]
+  in
+  let target_ok { Chaos.modulus; remainder } =
+    modulus >= 1 && 0 <= remainder && remainder < modulus
+  in
+  let directive_ok = function
+    | Chaos.Kill { ticks; target } ->
+        ticks <> [] && List.for_all (fun t -> t >= 1) ticks && target_ok target
+    | Chaos.Storm { fault; target } ->
+        let name = String.lowercase_ascii (Goalcom_faults.Fault.name fault) in
+        (not (contains name "nan" || contains name "inf")) && target_ok target
+  in
+  QCheck.Test.make ~count:2000 ~name:"Chaos.of_string: fuzzed specs fail cleanly"
+    (QCheck.make ~print:String.escaped (Helpers.spec_fuzz_gen ~valid))
+    (Helpers.parser_total
+       ~accepted:(fun c -> List.for_all directive_ok (Chaos.directives c))
+       (Chaos.of_string ~alphabet:4))
 
 (* --- Engine ----------------------------------------------------------- *)
 
@@ -587,6 +612,7 @@ let suite =
     ("engine trace paths agree", `Quick, test_engine_trace_paths_agree);
     QCheck_alcotest.to_alcotest prop_crash_restart_reaches_same_state;
     QCheck_alcotest.to_alcotest prop_arrival_of_string_total;
+    QCheck_alcotest.to_alcotest prop_chaos_of_string_total;
   ]
 
 let () = Alcotest.run "session" [ ("session", suite) ]

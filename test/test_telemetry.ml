@@ -474,6 +474,118 @@ let test_rollup_json_roundtrip () =
           Alcotest.(check string) "re-rendered snapshot" json
             (Rollup.to_json snap))
 
+(* Inputs the snapshot fuzzer found: a number beyond the float range
+   (read as infinity, then printed as the non-JSON [inf]) and a class
+   name with control bytes and a quote (printed with OCaml escapes that
+   JSON rejects). *)
+let test_rollup_json_hostile () =
+  let with_text a b = Helpers.replace_first (Trace_cases.rollup_stats ()) a ~by:b in
+  (match Json.parse (with_text "\"ticks\":5" "\"wall_s\":-1e999,\"ticks\":5") with
+  | Ok _ -> Alcotest.fail "an out-of-range number parsed"
+  | Error _ -> ());
+  match
+    Result.bind
+      (Json.parse (with_text "\"class\":\"total\"" "\"class\":\"q\\u0001\\\"\\u00ff\""))
+      Rollup.snapshot_of_json
+  with
+  | Error e -> Alcotest.failf "hostile class name rejected: %s" e
+  | Ok snap -> (
+      let json = Rollup.to_json snap in
+      match Result.bind (Json.parse json) Rollup.snapshot_of_json with
+      | Error e -> Alcotest.failf "re-rendered snapshot unreadable: %s" e
+      | Ok back ->
+          Alcotest.(check string) "class name round-trips" "q\001\"\255"
+            back.Rollup.totals.Rollup.cls)
+
+(* Fuzzed snapshots: the committed stats golden after text edits (the
+   spec fuzzer's bytes, noise and slice edits) and after tree edits
+   (members dropped or duplicated, then one value replaced or one
+   member inserted, its text drawn from hostile literals: wrong shapes,
+   out-of-range numbers, control bytes), read through Json.parse.  The
+   reader answers Ok/Error (or raises Invalid_argument), never another
+   exception, within a second; an accepted snapshot re-renders to JSON
+   that reads back to the same snapshot. *)
+let prop_snapshot_of_json_total =
+  let open QCheck.Gen in
+  let at_random items f =
+    int_bound (List.length items - 1) >>= fun i ->
+    f (List.nth items i) >|= fun ys ->
+    List.concat (List.mapi (fun k y -> if k = i then ys else [ y ]) items)
+  in
+  let rec reshape = function
+    | Json.Obj (_ :: _ as kvs) ->
+        at_random kvs (fun ((k, v) as kv) ->
+            oneof [ return []; return [ kv; kv ]; map (fun v -> [ (k, v) ]) (reshape v) ])
+        >|= fun kvs -> Json.Obj kvs
+    | Json.List (_ :: _ as l) ->
+        at_random l (fun v ->
+            oneof [ return []; return [ v; v ]; map (fun v -> [ v ]) (reshape v) ])
+        >|= fun l -> Json.List l
+    | v -> return v
+  in
+  (* One placeholder string per tree, swapped for a raw literal after
+     printing — so the literal may be text no [Json.t] prints. *)
+  let hole = Json.String "\000hole" in
+  let rec plant v =
+    let descend =
+      match v with
+      | Json.Obj (_ :: _ as kvs) ->
+          frequency
+            [
+              ( 1,
+                oneofl [ "ticks"; "wall_s"; "sessions_per_sec"; "class" ] >|= fun k ->
+                Json.Obj ((k, hole) :: kvs) );
+              ( 4,
+                at_random kvs (fun (k, v) -> map (fun v -> [ (k, v) ]) (plant v))
+                >|= fun kvs -> Json.Obj kvs );
+            ]
+      | Json.List (_ :: _ as l) ->
+          at_random l (fun v -> map (fun v -> [ v ]) (plant v)) >|= fun l -> Json.List l
+      | _ -> return hole
+    in
+    frequency [ (1, return hole); (4, descend) ]
+  in
+  let literals =
+    [
+      "null"; "true"; "-1"; "4611686018427387903"; "4611686018427387904"; "0.5";
+      "1e999"; "-1e999"; "1e-999"; "1e300"; "\"\""; "\"q\\u0001\\\"\\u00ff\"";
+      "[]"; "{}";
+    ]
+  in
+  let swap_hole text literal =
+    Helpers.replace_first text (Json.to_string hole) ~by:literal
+  in
+  let rec reshapes k v = if k = 0 then return v else reshape v >>= reshapes (k - 1) in
+  (* Read when the first case is drawn: the suite runs in test/. *)
+  let golden =
+    lazy
+      (String.concat "\n"
+         (Jsonl.read_lines (Filename.concat "golden" "stats_e18_chaos.json")))
+  in
+  let gen st =
+    let golden = Lazy.force golden in
+    let tree_edits =
+      match Json.parse golden with
+      | Error e -> failwith e
+      | Ok j ->
+          int_range 0 2 >>= fun k ->
+          reshapes k j >>= plant >>= fun j ->
+          oneofl literals >|= swap_hole (Json.to_string j)
+    in
+    frequency [ (1, Helpers.spec_fuzz_gen ~valid:[ golden ]); (1, tree_edits) ] st
+  in
+  let roundtrips snap =
+    let json = Rollup.to_json snap in
+    match Result.bind (Json.parse json) Rollup.snapshot_of_json with
+    | Ok back -> Rollup.to_json back = json
+    | Error _ -> false
+  in
+  QCheck.Test.make ~count:2000
+    ~name:"Rollup.snapshot_of_json: fuzzed input fails cleanly"
+    (QCheck.make ~print:String.escaped gen)
+    (Helpers.parser_total ~accepted:roundtrips (fun s ->
+         Result.bind (Json.parse s) Rollup.snapshot_of_json))
+
 (* Histogram edges: exact unit buckets below 64, bounded relative error
    above, deterministic merge. *)
 let test_hist_edges () =
@@ -537,6 +649,9 @@ let suite =
       test_rollup_merge_matches_single_stream;
     Alcotest.test_case "rollup json roundtrip" `Quick
       test_rollup_json_roundtrip;
+    Alcotest.test_case "rollup json hostile inputs" `Quick
+      test_rollup_json_hostile;
+    QCheck_alcotest.to_alcotest prop_snapshot_of_json_total;
     Alcotest.test_case "histogram edges" `Quick test_hist_edges;
     Alcotest.test_case "stats golden snapshot" `Quick test_stats_golden;
   ]
