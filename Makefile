@@ -18,8 +18,8 @@ check: build test
 # Mirror of .github/workflows/ci.yml: build, test, trace smoke +
 # analytics, parallel smoke, chaos smoke, live-stats smoke, golden
 # drift, bench gate, serving-benchmark smoke (with the long_horizon
-# 32 MB and open_ring 100 MB peak-heap guards and the storm 120-word
-# allocation guard).  Run before pushing.
+# 32 MB and open_ring 100 MB peak-heap guards, the storm 120-word and
+# the open_ring 80-word allocation guards).  Run before pushing.
 ci: check
 	dune exec bin/main.exe -- run e17 --jobs 2
 	GOALCOM_E19_TRIALS=10 dune exec bin/main.exe -- run e19 --jobs 2
@@ -55,6 +55,7 @@ ci: check
 	  fi; \
 	  if [ $$w = open_ring ]; then \
 	    echo "$$line" | python3 -c 'import json, sys; mb = json.load(sys.stdin)["metrics"]["peak_heap_mb"]["value"]; print(f"open_ring peak_heap_mb {mb:.2f} (limit 100)"); sys.exit(mb > 100)' || exit 1; \
+	    echo "$$line" | python3 -c 'import json, sys; w = json.load(sys.stdin)["metrics"]["alloc_words_per_round"]["value"]; print(f"open_ring alloc_words_per_round {w:.1f} (limit 80)"); sys.exit(w > 80)' || exit 1; \
 	  fi; \
 	done
 

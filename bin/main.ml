@@ -610,29 +610,11 @@ let parse_arrivals s =
       exit 1
 
 let parse_class_weights s =
-  if String.trim s = "" then []
-  else
-    String.split_on_char ',' s
-    |> List.map (fun part ->
-           match String.index_opt part '=' with
-           | Some i -> (
-               let cname = String.trim (String.sub part 0 i) in
-               let w =
-                 String.trim
-                   (String.sub part (i + 1) (String.length part - i - 1))
-               in
-               match int_of_string_opt w with
-               | Some w when w >= 1 && cname <> "" -> (cname, w)
-               | _ ->
-                   Printf.eprintf
-                     "--class-weights: bad entry %S (want CLASS=WEIGHT \
-                      with WEIGHT >= 1)\n"
-                     part;
-                   exit 1)
-           | None ->
-               Printf.eprintf
-                 "--class-weights: bad entry %S (want CLASS=WEIGHT)\n" part;
-               exit 1)
+  match Session.Admission.classes_of_string s with
+  | Ok classes -> classes
+  | Error e ->
+      Printf.eprintf "%s\n" e;
+      exit 1
 
 let serve_cmd =
   let quantum_arg =

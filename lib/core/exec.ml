@@ -54,16 +54,9 @@ module Stepper = struct
        byte. *)
     let h = Trace.handle () in
     if Trace.handle_enabled h then
-      Trace.handle_emit h
-        (Trace.Run_start
-           {
-             goal = Goal.name goal;
-             user = Strategy.name user;
-             server = Strategy.name server;
-             horizon = config.horizon;
-             drain = config.drain;
-             world_choice = config.world_choice;
-           });
+      Trace.emit_run_start h ~goal:(Goal.name goal) ~user:(Strategy.name user)
+        ~server:(Strategy.name server) ~horizon:config.horizon
+        ~drain:config.drain ~world_choice:config.world_choice;
     let user_rng = Rng.split rng in
     let server_rng = Rng.split rng in
     let world_rng = Rng.split rng in
@@ -112,18 +105,15 @@ module Stepper = struct
     t.finished || t.round > t.cfg.horizon || (t.halted && t.drain_left <= 0)
 
   let[@inline] emit_msg h round src dst msg =
-    if not (Msg.is_silence msg) then
-      Trace.handle_emit h (Trace.Emit { round; src; dst; msg })
+    if not (Msg.is_silence msg) then Trace.emit_msg h ~round ~src ~dst msg
 
   let finish t =
     (match t.store with
     | Rounds b -> t.result <- Some (History.Builder.finish b)
     | Judged _ -> ());
     t.finished <- true;
-    let h = Trace.handle () in
-    if Trace.handle_enabled h then
-      Trace.handle_emit h
-        (Trace.Run_end { rounds = rounds_executed t; halted = t.halted })
+    Trace.emit_run_end (Trace.handle ()) ~rounds:(rounds_executed t)
+      ~halted:t.halted
 
   (* Tracing is re-resolved per step (not latched at creation like the
      closed loop used to): a stepper may be created on one domain and
@@ -145,7 +135,7 @@ module Stepper = struct
       let round = t.round in
       if tracing then begin
         Trace.handle_set_round h round;
-        Trace.handle_emit h (Trace.Round_start { round })
+        Trace.emit_round_start h ~round
       end;
       let user_act : Io.User.act =
         if t.halted then Io.User.halt_act
@@ -169,8 +159,7 @@ module Stepper = struct
         emit_msg h round Trace.Server Trace.World server_act.to_world;
         emit_msg h round Trace.World Trace.User world_act.to_user;
         emit_msg h round Trace.World Trace.Server world_act.to_server;
-        if halted' && not t.halted then
-          Trace.handle_emit h (Trace.Halt { round })
+        if halted' && not t.halted then Trace.emit_halt h ~round
       end;
       let world_view = World.Instance.view t.world_inst in
       (match t.store with
@@ -241,9 +230,10 @@ let run_outcome ?sink ?config ?tail_window ~goal ~user ~server rng =
   let body () =
     let history = run ?config ~goal ~user ~server rng in
     let outcome = Outcome.judge ?tail_window goal history in
-    if Trace.enabled () then
+    let h = Trace.handle () in
+    if Trace.handle_enabled h then
       List.iter
-        (fun round -> Trace.emit (Trace.Violation { round }))
+        (fun round -> Trace.emit_violation h ~round)
         outcome.Outcome.violation_rounds;
     (outcome, history)
   in

@@ -183,23 +183,14 @@ let tolerant ~window ~threshold t =
   if threshold <= 0 || threshold > window then
     invalid_arg "Sensing.tolerant: threshold must be in 1..window";
   let name = Printf.sprintf "%s/tolerant(%d-of-%d)" t.name threshold window in
+  let mask_name = name ^ "/mask" in
   let mask_event ~round ~negs =
     (* A raw negative masked by a healthy recent window is the
        interesting tolerant-sensing event: record it when tracing (every
        unmasked verdict is already visible to the universal user's own
        [Sense] emission). *)
-    match Trace.current () with
-    | None -> ()
-    | Some sink ->
-        sink
-          (Trace.Sense
-             {
-               round;
-               sensor = name ^ "/mask";
-               positive = true;
-               clock = negs;
-               patience = threshold;
-             })
+    Trace.emit_sense (Trace.handle ()) ~round ~sensor:mask_name ~positive:true
+      ~clock:negs ~patience:threshold
   in
   let sense view =
     let depth = min window (View.length view) in

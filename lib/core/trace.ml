@@ -3,15 +3,18 @@
    The event algebra lives in lib/core (rather than lib/obs) because the
    emitters — Exec, Universal, Sensing, and the fault layer — are below
    the observability library in the dependency order; lib/obs builds the
-   metrics aggregator, JSONL exporter and pretty-printer on top of this
-   module.
+   attribution fold (Span), the ring, the JSONL exporter and the
+   pretty-printer on top of this module.
 
    Sink discipline: there is one ambient sink (like a Logs reporter).
-   Emitters guard every emission with [enabled ()] so that when no sink
-   is installed no event value is ever allocated — the entire cost of
-   the disabled tracing path is one load-and-branch per emission site. *)
+   Emitters go through the typed [emit_*] functions (or guard a built
+   event with [enabled ()]), so that when no sink is installed no event
+   value is ever allocated — the entire cost of the disabled tracing
+   path is one load-and-branch per emission site.  When the installed
+   sink offers a wire (an arena and a commit), the typed emitters write
+   the event's bytes straight into it and build no event at all. *)
 
-type party = User | Server | World
+type party = Trace_wire.party = User | Server | World
 
 let party_name = function User -> "user" | Server -> "server" | World -> "world"
 
@@ -63,24 +66,36 @@ type sink = event -> unit
    Fresh domains start with no sink — pool workers inherit nothing and
    install their own recorder per task. *)
 
+type wire =
+  | Write of { enc : Trace_wire.enc; commit : int -> unit }
+  | Count of (unit -> unit)
+
 type encoded_sink = {
   push : Bytes.t -> int -> int -> unit;
   retain : int;
   discard : int -> unit;
+  mutable wire : wire;
 }
+
+(* What the typed emitters do, resolved once when a sink is installed:
+   nothing, build the event for the sink, or use the sink's offer. *)
+type target = Off | Events of sink | Offered of encoded_sink
 
 (* [d_offer] is the encoded fast path a sink offered on this domain
    (see [offer_encoded]): the sink closure is the ephemeron's key, so
    the offer lives exactly as long as the sink it names — a dropped
-   ring is never kept alive by the slot. *)
+   ring is never kept alive by the slot.  [d_target] always agrees
+   with [d_sink]: [Off] iff no sink. *)
 type dls = {
   mutable d_sink : sink option;
   mutable d_round : int;
   mutable d_offer : (sink, encoded_sink) Ephemeron.K1.t option;
+  mutable d_target : target;
 }
 
 let dls_key =
-  Domain.DLS.new_key (fun () -> { d_sink = None; d_round = 0; d_offer = None })
+  Domain.DLS.new_key (fun () ->
+      { d_sink = None; d_round = 0; d_offer = None; d_target = Off })
 let[@inline] state () = Domain.DLS.get dls_key
 
 (* Pattern match, not [<> None]: the guard sits on every emission site
@@ -107,9 +122,24 @@ let guard_install = function
            observe nothing); install the sink from within the pool task, \
            or pass ?sink to the parallel entry point"
 
+(* The installed sink's target: its offer when the domain's slot holds
+   one made by this very closure (physical equality — a wrapper around
+   an offering sink makes none), else plain events. *)
+let target_of st = function
+  | None -> Off
+  | Some s -> (
+      match st.d_offer with
+      | None -> Events s
+      | Some offer -> (
+          match Ephemeron.K1.query offer s with
+          | Some o -> Offered o
+          | None -> Events s))
+
 let set_sink s =
   guard_install s;
-  (state ()).d_sink <- s
+  let st = state () in
+  st.d_sink <- s;
+  st.d_target <- target_of st s
 
 let emit ev = match (state ()).d_sink with None -> () | Some f -> f ev
 
@@ -139,30 +169,176 @@ let[@inline] handle_emit h ev =
 let[@inline] handle_set_round h r = h.d_round <- r
 let[@inline] handle_round h = h.d_round
 
-let with_sink s f =
+let with_sink ?offer s f =
   guard_install (Some s);
   let st = state () in
   let prev = st.d_sink in
   let prev_round = st.d_round in
+  let prev_target = st.d_target in
   st.d_sink <- Some s;
+  st.d_target <-
+    (match offer with Some o -> Offered o | None -> target_of st (Some s));
   Fun.protect
     ~finally:(fun () ->
       st.d_sink <- prev;
-      st.d_round <- prev_round)
+      st.d_round <- prev_round;
+      st.d_target <- prev_target)
     f
 
 (* One slot per domain: the latest offer wins.  The installed sink
-   takes the fast path only while it is physically the offering
-   closure, so any wrapper (a tee, a timing shim) falls back to plain
-   event delivery. *)
+   takes the fast path only if it is physically the offering closure,
+   so any wrapper (a tee, a timing shim) falls back to plain event
+   delivery.  The slot is read when a sink is installed, never per
+   event. *)
 let offer_encoded s e =
   (state ()).d_offer <- Some (Ephemeron.K1.make s e)
 
 let encoded () =
-  let st = state () in
-  match (st.d_sink, st.d_offer) with
-  | Some s, Some offer -> Ephemeron.K1.query offer s
-  | _ -> None
+  match (state ()).d_target with Offered o -> Some o | Off | Events _ -> None
+
+(* --- typed emitters ---------------------------------------------------
+
+   One per event kind.  Each matches the resolved target once: no sink
+   costs that load and branch; a plain sink gets the built event; an
+   offered wire gets the event's bytes, written where the event would
+   have been encoded anyway, and a commit naming where they start; a
+   counting wire only counts.  The [Write] arm is the same four lines
+   in every emitter — a shared helper taking the writer as a closure
+   would allocate that closure per event on the non-flambda
+   compiler. *)
+
+let[@inline] emit_run_start h ~goal ~user ~server ~horizon ~drain
+    ~world_choice =
+  match h.d_target with
+  | Off -> ()
+  | Events f ->
+      f (Run_start { goal; user; server; horizon; drain; world_choice })
+  | Offered { wire = Write { enc; commit }; _ } ->
+      let start = Trace_wire.length enc in
+      Trace_wire.run_start enc ~goal ~user ~server ~horizon ~drain
+        ~world_choice;
+      commit start
+  | Offered { wire = Count count; _ } -> count ()
+
+let[@inline] emit_round_start h ~round =
+  match h.d_target with
+  | Off -> ()
+  | Events f -> f (Round_start { round })
+  | Offered { wire = Write { enc; commit }; _ } ->
+      let start = Trace_wire.length enc in
+      Trace_wire.round_start enc ~round;
+      commit start
+  | Offered { wire = Count count; _ } -> count ()
+
+let[@inline] emit_msg h ~round ~src ~dst msg =
+  match h.d_target with
+  | Off -> ()
+  | Events f -> f (Emit { round; src; dst; msg })
+  | Offered { wire = Write { enc; commit }; _ } ->
+      let start = Trace_wire.length enc in
+      Trace_wire.emit enc ~round ~src ~dst msg;
+      commit start
+  | Offered { wire = Count count; _ } -> count ()
+
+let[@inline] emit_halt h ~round =
+  match h.d_target with
+  | Off -> ()
+  | Events f -> f (Halt { round })
+  | Offered { wire = Write { enc; commit }; _ } ->
+      let start = Trace_wire.length enc in
+      Trace_wire.halt enc ~round;
+      commit start
+  | Offered { wire = Count count; _ } -> count ()
+
+let[@inline] emit_sense h ~round ~sensor ~positive ~clock ~patience =
+  match h.d_target with
+  | Off -> ()
+  | Events f -> f (Sense { round; sensor; positive; clock; patience })
+  | Offered { wire = Write { enc; commit }; _ } ->
+      let start = Trace_wire.length enc in
+      Trace_wire.sense enc ~round ~sensor ~positive ~clock ~patience;
+      commit start
+  | Offered { wire = Count count; _ } -> count ()
+
+let[@inline] emit_switch h ~round ~from_index ~to_index ~attempt =
+  match h.d_target with
+  | Off -> ()
+  | Events f -> f (Switch { round; from_index; to_index; attempt })
+  | Offered { wire = Write { enc; commit }; _ } ->
+      let start = Trace_wire.length enc in
+      Trace_wire.switch enc ~round ~from_index ~to_index ~attempt;
+      commit start
+  | Offered { wire = Count count; _ } -> count ()
+
+let[@inline] emit_resume h ~index ~slots =
+  match h.d_target with
+  | Off -> ()
+  | Events f -> f (Resume { index; slots })
+  | Offered { wire = Write { enc; commit }; _ } ->
+      let start = Trace_wire.length enc in
+      Trace_wire.resume enc ~index ~slots;
+      commit start
+  | Offered { wire = Count count; _ } -> count ()
+
+let[@inline] emit_session h ~round ~index ~budget =
+  match h.d_target with
+  | Off -> ()
+  | Events f -> f (Session { round; index; budget })
+  | Offered { wire = Write { enc; commit }; _ } ->
+      let start = Trace_wire.length enc in
+      Trace_wire.session enc ~round ~index ~budget;
+      commit start
+  | Offered { wire = Count count; _ } -> count ()
+
+let[@inline] emit_fault h ~round ~fault ~detail =
+  match h.d_target with
+  | Off -> ()
+  | Events f -> f (Fault { round; fault; detail })
+  | Offered { wire = Write { enc; commit }; _ } ->
+      let start = Trace_wire.length enc in
+      Trace_wire.fault enc ~round ~fault ~detail;
+      commit start
+  | Offered { wire = Count count; _ } -> count ()
+
+let[@inline] emit_violation h ~round =
+  match h.d_target with
+  | Off -> ()
+  | Events f -> f (Violation { round })
+  | Offered { wire = Write { enc; commit }; _ } ->
+      let start = Trace_wire.length enc in
+      Trace_wire.violation enc ~round;
+      commit start
+  | Offered { wire = Count count; _ } -> count ()
+
+let[@inline] emit_run_end h ~rounds ~halted =
+  match h.d_target with
+  | Off -> ()
+  | Events f -> f (Run_end { rounds; halted })
+  | Offered { wire = Write { enc; commit }; _ } ->
+      let start = Trace_wire.length enc in
+      Trace_wire.run_end enc ~rounds ~halted;
+      commit start
+  | Offered { wire = Count count; _ } -> count ()
+
+let[@inline] emit_supervise h ~tick ~session ~action ~detail =
+  match h.d_target with
+  | Off -> ()
+  | Events f -> f (Supervise { tick; session; action; detail })
+  | Offered { wire = Write { enc; commit }; _ } ->
+      let start = Trace_wire.length enc in
+      Trace_wire.supervise enc ~tick ~session ~action ~detail;
+      commit start
+  | Offered { wire = Count count; _ } -> count ()
+
+let[@inline] emit_warm h ~server_class ~enum ~index ~accepted ~detail =
+  match h.d_target with
+  | Off -> ()
+  | Events f -> f (Warm { server_class; enum; index; accepted; detail })
+  | Offered { wire = Write { enc; commit }; _ } ->
+      let start = Trace_wire.length enc in
+      Trace_wire.warm enc ~server_class ~enum ~index ~accepted ~detail;
+      commit start
+  | Offered { wire = Count count; _ } -> count ()
 
 let tee a b ev =
   a ev;

@@ -8,16 +8,22 @@
     verdicts, strategy switches, Levin schedule steps and checkpoint
     resumes; {!Sensing.tolerant} emits masked verdicts; the fault layer
     ([lib/faults]) emits fault activations; {!Exec.run_outcome} emits
-    referee violations.  The metrics aggregator, JSONL exporter and
-    pretty-printer live on top, in [lib/obs] ([goalcom_obs]).
+    referee violations.  The attribution fold ([Span]), the ring, the
+    JSONL exporter and the pretty-printer live on top, in [lib/obs]
+    ([goalcom_obs]).
 
     {b Sink discipline.}  There is one ambient sink {e per domain},
     installed with {!set_sink} or scoped with {!with_sink} (the model is
-    a [Logs] reporter, made domain-local).  Emitters guard every
-    emission site with {!enabled}, so with no sink installed {e no event
-    value is allocated}: the disabled path costs one domain-local load
-    and branch per site.  Traces carry no wall-clock stamps — a trace is
-    a pure function of (strategies, goal, seed, config), so same seed ⇒
+    a [Logs] reporter, made domain-local).  Emitters go through the
+    typed emitters ({!emit_round_start} and friends, one per event
+    kind), so with no sink installed {e no event value is allocated}:
+    the disabled path costs one load and branch per site.  When the
+    installed sink offers a wire ({!encoded_sink}), the typed emitters
+    write each event's bytes straight into the sink's arena and build
+    no event either; every other sink receives the built event.  What
+    an emitter does is resolved once, when the sink is installed, never
+    per event.  Traces carry no wall-clock stamps — a trace is a pure
+    function of (strategies, goal, seed, config), so same seed ⇒
     bit-identical trace; timing lives in the metrics layer, out of band.
 
     {b Domains.}  {!set_sink}, {!with_sink}, {!set_round} and their
@@ -30,7 +36,7 @@
     in-flight pool batch while one runs elsewhere raises
     [Invalid_argument] — such a sink would silently observe nothing. *)
 
-type party = User | Server | World
+type party = Trace_wire.party = User | Server | World
 
 val party_name : party -> string
 (** ["user"], ["server"], ["world"]. *)
@@ -90,6 +96,31 @@ type event =
 
 type sink = event -> unit
 
+type wire =
+  | Write of { enc : Trace_wire.enc; commit : int -> unit }
+      (** Append the event's bytes to [enc], then [commit start] with
+          the offset they start at. *)
+  | Count of (unit -> unit)
+      (** Neither build nor encode the event: only call the counter
+          (the engine's sessions whose events the ring will not keep). *)
+
+type encoded_sink = {
+  push : Bytes.t -> int -> int -> unit;
+      (** [push buf off len]: the bytes [buf.[off .. off+len-1]] are
+          exactly one event in [Goalcom_obs.Binary]'s format.  The
+          callee copies what it keeps. *)
+  retain : int;  (** the sink keeps only its last [retain] events *)
+  discard : int -> unit;
+      (** [discard k]: [k] events pushed and evicted, bytes unseen.
+          @raise Invalid_argument if [k < 0]. *)
+  mutable wire : wire;
+      (** where the typed emitters write; read per event, so a producer
+          may point one installed offer at successive arenas (the
+          session engine does, session by session) *)
+}
+(** A sink's encoded form; see {!offer_encoded} and the typed
+    emitters. *)
+
 (** {1 The ambient sink} *)
 
 val enabled : unit -> bool
@@ -106,10 +137,14 @@ val set_sink : sink option -> unit
     non-participant domain while a pool batch is in flight (see the
     module preamble: sinks are domain-local). *)
 
-val with_sink : sink -> (unit -> 'a) -> 'a
+val with_sink : ?offer:encoded_sink -> sink -> (unit -> 'a) -> 'a
 (** Run the thunk with the given sink installed on the calling domain,
     restoring the previous sink (and current round) afterwards,
-    exceptions included.  Same in-flight-batch guard as {!set_sink}. *)
+    exceptions included.  Same in-flight-batch guard as {!set_sink}.
+    [offer], when given, is the sink's encoded form for this scope
+    only: the domain's {!offer_encoded} slot is neither read nor
+    changed (the session engine installs each session's arena this
+    way). *)
 
 val set_round : int -> unit
 (** Maintained by {!Exec.run} while tracing so emitters that cannot see
@@ -138,6 +173,64 @@ val handle_emit : handle -> event -> unit
 val handle_set_round : handle -> int -> unit
 val handle_round : handle -> int
 
+(** {1 Typed emitters}
+
+    One per event kind, each taking the event's fields instead of the
+    event.  With no sink installed an emitter is one load and branch.
+    With a sink that offers a {!Write} wire it appends the event's
+    bytes ([Trace_wire]'s writer for the kind) to the wire's arena and
+    calls [commit start] with the offset they start at; with a {!Count}
+    wire it calls the counter; with any other sink it builds the event
+    and delivers it.  The bytes are exactly [Goalcom_obs.Binary]'s
+    encoding of the event the sink would otherwise have received. *)
+
+val emit_run_start :
+  handle ->
+  goal:string ->
+  user:string ->
+  server:string ->
+  horizon:int ->
+  drain:int ->
+  world_choice:int ->
+  unit
+
+val emit_round_start : handle -> round:int -> unit
+
+val emit_msg : handle -> round:int -> src:party -> dst:party -> Msg.t -> unit
+(** An [Emit] event; the caller skips silent messages. *)
+
+val emit_halt : handle -> round:int -> unit
+
+val emit_sense :
+  handle ->
+  round:int ->
+  sensor:string ->
+  positive:bool ->
+  clock:int ->
+  patience:int ->
+  unit
+
+val emit_switch :
+  handle -> round:int -> from_index:int -> to_index:int -> attempt:int -> unit
+
+val emit_resume : handle -> index:int -> slots:int -> unit
+val emit_session : handle -> round:int -> index:int -> budget:int -> unit
+val emit_fault : handle -> round:int -> fault:string -> detail:string -> unit
+val emit_violation : handle -> round:int -> unit
+val emit_run_end : handle -> rounds:int -> halted:bool -> unit
+
+val emit_supervise :
+  handle -> tick:int -> session:int -> action:string -> detail:string -> unit
+
+val emit_warm :
+  handle ->
+  server_class:string ->
+  enum:string ->
+  index:int ->
+  accepted:bool ->
+  detail:string ->
+  unit
+
 (** {1 The encoded fast path}
 
     A sink that stores events in [Goalcom_obs.Binary]'s encoding (the
@@ -154,30 +247,24 @@ val handle_round : handle -> int
     before [discard] (and the [k] it skipped) would have been evicted
     anyway, and the sink ends exactly as if all of them had been
     pushed.  A producer that cannot promise those pushes must not
-    call [discard]. *)
+    call [discard].
 
-type encoded_sink = {
-  push : Bytes.t -> int -> int -> unit;
-      (** [push buf off len]: the bytes [buf.[off .. off+len-1]] are
-          exactly one event in [Goalcom_obs.Binary]'s format.  The
-          callee copies what it keeps. *)
-  retain : int;  (** the sink keeps only its last [retain] events *)
-  discard : int -> unit;
-      (** [discard k]: [k] events pushed and evicted, bytes unseen.
-          @raise Invalid_argument if [k < 0]. *)
-}
+    Its [wire] is where the typed emitters write: the ring's shard
+    arena with the ring's index/eviction tail as [commit], or a
+    session arena of the engine whose [commit] counts the event. *)
 
 val offer_encoded : sink -> encoded_sink -> unit
 (** [offer_encoded s e] declares, on the calling domain, that [e] is
     [s]'s encoded form.  The domain keeps one offer (the latest), held
-    weakly: it never keeps [s] alive. *)
+    weakly: it never keeps [s] alive.  The offer is read when [s] is
+    installed ({!set_sink}, {!with_sink}), so make it before. *)
 
 val encoded : unit -> encoded_sink option
-(** The calling domain's offered fast path, if the installed ambient
-    sink is physically the closure that offered it; [None] otherwise
-    (no sink, a different sink, or a wrapper around the offering one).
-    Wrappers, tees and sinks that make no offer therefore receive
-    every event, decoded. *)
+(** The installed ambient sink's offer, if it made one before it was
+    installed and is physically the closure that offered it; [None]
+    otherwise (no sink, a different sink, or a wrapper around the
+    offering one).  Wrappers, tees and sinks that make no offer
+    therefore receive every event, decoded. *)
 
 val tee : sink -> sink -> sink
 (** Both sinks, left first. *)

@@ -152,8 +152,8 @@ let compact ?(grace = 1) ?(growth = `Doubling) ?(retries = 0) ?wedge_after
         match checkpoint with Some c -> c.saved_index | None -> 0
       in
       Option.iter (fun s -> s.current_index <- start) stats;
-      if start > 0 && Trace.enabled () then
-        Trace.emit (Trace.Resume { index = start; slots = 0 });
+      if start > 0 then
+        Trace.emit_resume (Trace.handle ()) ~index:start ~slots:0;
       {
         c_memo = memo;
         c_index = start;
@@ -175,20 +175,12 @@ let compact ?(grace = 1) ?(growth = `Doubling) ?(retries = 0) ?wedge_after
         if not state.c_pending then Sensing.Positive (* nothing to judge yet *)
         else Sensing.verdict state.c_sense
       in
-      (* Single sink lookup (this fires every round): fetch the sink
-         once instead of the enabled-guard-then-emit double access. *)
-      (match Trace.current () with
-      | None -> ()
-      | Some sink ->
-          sink
-            (Trace.Sense
-               {
-                 round = obs.Io.User.round;
-                 sensor = sensing.Sensing.name;
-                 positive = verdict = Sensing.Positive;
-                 clock = state.c_rounds_in;
-                 patience = state.c_grace;
-               }));
+      (* One handle fetch per round: it guards this emission and, when
+         a negative verdict switches, the one below. *)
+      let h = Trace.handle () in
+      Trace.emit_sense h ~round:obs.Io.User.round ~sensor:sensing.Sensing.name
+        ~positive:(verdict = Sensing.Positive) ~clock:state.c_rounds_in
+        ~patience:state.c_grace;
       (* Wedge detection: a frozen from_world stream means the current
          strategy is not moving the world at all (e.g. the server
          crashed or went silent mid-session); once the stall outlasts
@@ -212,29 +204,16 @@ let compact ?(grace = 1) ?(growth = `Doubling) ?(retries = 0) ?wedge_after
         if (not wedged) && state.c_attempt < retries then begin
           (* Retry the same index from scratch with doubled patience
              before giving up on it. *)
-          if Trace.enabled () then
-            Trace.emit
-              (Trace.Switch
-                 {
-                   round = obs.Io.User.round;
-                   from_index = state.c_index;
-                   to_index = state.c_index;
-                   attempt = state.c_attempt + 1;
-                 });
+          Trace.emit_switch h ~round:obs.Io.User.round
+            ~from_index:state.c_index ~to_index:state.c_index
+            ~attempt:(state.c_attempt + 1);
           state.c_attempt <- state.c_attempt + 1;
           state.c_grace <- effective_grace state.c_index state.c_attempt
         end
         else begin
           let index = state.c_index + 1 in
-          if Trace.enabled () then
-            Trace.emit
-              (Trace.Switch
-                 {
-                   round = obs.Io.User.round;
-                   from_index = state.c_index;
-                   to_index = index;
-                   attempt = 0;
-                 });
+          Trace.emit_switch h ~round:obs.Io.User.round
+            ~from_index:state.c_index ~to_index:index ~attempt:0;
           Option.iter
             (fun s ->
               s.switches <- s.switches + 1;
@@ -430,9 +409,9 @@ let finite ?schedule ?checkpoint ?stats ~enum ~sensing () =
       let sched =
         match checkpoint with
         | Some c ->
-            if c.saved_slots > 0 && Trace.enabled () then
-              Trace.emit
-                (Trace.Resume { index = c.saved_index; slots = c.saved_slots });
+            if c.saved_slots > 0 then
+              Trace.emit_resume (Trace.handle ()) ~index:c.saved_index
+                ~slots:c.saved_slots;
             seq_drop c.saved_slots sched
         | None -> sched
       in
@@ -454,21 +433,13 @@ let finite ?schedule ?checkpoint ?stats ~enum ~sensing () =
         if not state.f_pending then Sensing.Negative (* nothing achieved yet *)
         else Sensing.verdict state.f_sense
       in
-      (match Trace.current () with
-      | None -> ()
-      | Some sink ->
-          sink
-            (Trace.Sense
-               {
-                 round = obs.Io.User.round;
-                 sensor = sensing.Sensing.name;
-                 positive = verdict = Sensing.Positive;
-                 clock = state.f_used;
-                 patience =
-                   (match state.f_current with
-                   | Some (slot, _) -> slot.Levin.budget
-                   | None -> 0);
-               }));
+      let h = Trace.handle () in
+      Trace.emit_sense h ~round:obs.Io.User.round ~sensor:sensing.Sensing.name
+        ~positive:(verdict = Sensing.Positive) ~clock:state.f_used
+        ~patience:
+          (match state.f_current with
+          | Some (slot, _) -> slot.Levin.budget
+          | None -> 0);
       if verdict = Sensing.Positive then begin
         state.f_pending <- false;
         (state, Io.User.halt_act)
@@ -483,14 +454,8 @@ let finite ?schedule ?checkpoint ?stats ~enum ~sensing () =
           match state.f_sched () with
           | Seq.Nil -> invalid_arg "Universal.finite: schedule exhausted"
           | Seq.Cons (slot, rest) ->
-              if Trace.enabled () then
-                Trace.emit
-                  (Trace.Session
-                     {
-                       round = obs.Io.User.round;
-                       index = slot.Levin.index;
-                       budget = slot.Levin.budget;
-                     });
+              Trace.emit_session h ~round:obs.Io.User.round
+                ~index:slot.Levin.index ~budget:slot.Levin.budget;
               Option.iter
                 (fun s ->
                   s.sessions <- s.sessions + 1;

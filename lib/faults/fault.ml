@@ -17,9 +17,7 @@ let nop = { name = "nop"; wrap = Fun.id }
    the same RNG stream. *)
 let emit_fault fault detail =
   let h = Trace.handle () in
-  if Trace.handle_enabled h then
-    Trace.handle_emit h
-      (Trace.Fault { round = Trace.handle_round h; fault; detail })
+  Trace.emit_fault h ~round:(Trace.handle_round h) ~fault ~detail
 
 (* [compose f g] applies [g] closest to the server: the composed link
    reads outbound as server → g → f → user and inbound the other way —

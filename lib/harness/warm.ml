@@ -101,9 +101,8 @@ let of_race ~server_class ~enum (race : Universal.race) =
   }
 
 let emit_warm ~server_class ~enum_name ~index ~accepted ~detail =
-  if Trace.enabled () then
-    Trace.emit
-      (Trace.Warm { server_class; enum = enum_name; index; accepted; detail })
+  Trace.emit_warm (Trace.handle ()) ~server_class ~enum:enum_name ~index
+    ~accepted ~detail
 
 let hints ~enum ~server_class store =
   let enum_name = Enum.name enum in

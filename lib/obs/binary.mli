@@ -1,5 +1,8 @@
 (** Compact binary encoding of {!Goalcom.Trace.event} — the wire format
-    of the ring-buffer sink ({!Ring}).
+    of the ring-buffer sink ({!Ring}).  The writers live in
+    {!Goalcom.Trace_wire}, below the event emitters; this module
+    dispatches built events to them ({!put_event}) and holds the
+    decoder.
 
     One tag byte per event, then the fields in declaration order:
     integers as zigzag-mapped LEB128 varints (at most 9 bytes for the
@@ -23,40 +26,10 @@ val add_event : Buffer.t -> Goalcom.Trace.event -> unit
 
 val event_to_string : Goalcom.Trace.event -> string
 
-(** {1 Cursor encoder}
-
-    The allocation-free encoding path ({!Ring}'s hot loop): a reusable
-    growable byte cursor.  {!encode} rewinds the cursor and writes one
-    event; the result is the first {!enc_len} bytes of {!enc_bytes}
-    (valid until the next {!encode} — copy out before re-using). *)
-
-type enc
-
-val enc_create : int -> enc
-(** A cursor with [n] bytes of initial capacity (grows as needed). *)
-
-val encode : enc -> Goalcom.Trace.event -> unit
-(** Rewind and write one event: the cursor holds exactly that event. *)
-
-val put_event : enc -> Goalcom.Trace.event -> unit
-(** Append one event at the cursor without rewinding ({!Ring} keeps a
-    whole shard's events in one cursor this way). *)
-
-val put_slice : enc -> Bytes.t -> int -> int -> unit
-(** [put_slice e b off len] appends [b.[off .. off+len-1]] verbatim —
-    an event some other cursor already encoded. *)
-
-val enc_bytes : enc -> Bytes.t
-val enc_len : enc -> int
-
-val enc_set_len : enc -> int -> unit
-(** Truncate to the first [n] bytes ([0 <= n <= enc_len]) — the
-    drop-the-tail half of a caller-managed compaction that blits live
-    bytes down inside {!enc_bytes} first. *)
-
-val sink : Buffer.t -> Goalcom.Trace.sink
-(** A sink appending every event to the buffer (benchmark harness and
-    tests; production capture wants {!Ring.sink}). *)
+val put_event : Goalcom.Trace_wire.enc -> Goalcom.Trace.event -> unit
+(** Append one event at the cursor: the {!Goalcom.Trace_wire} writer
+    for the event's kind ({!Ring} keeps a whole shard's events in one
+    cursor this way). *)
 
 (** {1 Decoding} *)
 
@@ -73,8 +46,8 @@ val decode_all : ?pos:int -> string -> (Goalcom.Trace.event list, string) result
 
 (** {1 Reading back trusted buffers}
 
-    For bytes this module wrote itself (a cursor's {!enc_bytes}), such
-    as the session engine's per-session trace arenas. *)
+    For bytes {!put_event} or a {!Goalcom.Trace_wire} writer wrote into
+    a cursor, such as the session engine's per-session trace arenas. *)
 
 val skip_event : Bytes.t -> int -> int
 (** [skip_event b p] is the offset just past the event starting at [p]
@@ -84,7 +57,8 @@ val skip_event : Bytes.t -> int -> int
 
 val iter : (Goalcom.Trace.event -> unit) -> Bytes.t -> int -> unit
 (** [iter f b len] decodes the events packed back to back in the first
-    [len] bytes of [b] (a cursor's {!enc_bytes} and {!enc_len}) and
+    [len] bytes of [b] (a cursor's [Trace_wire.bytes] and
+    [Trace_wire.length]) and
     applies [f] to each in order, reading through one cursor.  [b] must
     not change while [iter] runs.  @raise Failure on corrupt bytes;
     @raise Invalid_argument if [len] is out of range. *)

@@ -1,13 +1,15 @@
 (* The always-on capture sink: a fixed-capacity ring of binary-encoded
    events, one shard per domain.
 
-   Emission path: append the event through Binary's cursor encoder (or,
-   for an event that arrives already encoded, copy its bytes) straight
-   into the shard's arena — one growable Bytes.t holding the
-   retained events back to back — and record the (offset, length) pair
-   in a circular index.  No per-event allocation at all: the arena and
-   index are reused for the life of the shard, so a ring that retains
-   events across minor collections promotes two flat blocks once, not
+   Emission path: a typed emitter writes the event's bytes (or, for a
+   built event, Binary's cursor encoder does; for an event that arrives
+   already encoded, its bytes are copied) straight into the shard's
+   arena — one growable Bytes.t holding the retained events back to
+   back — and records where it starts in a circular index (an event
+   ends where the next one starts, the newest at the arena's cursor).
+   No per-event allocation at all: the arena and index are reused for
+   the life of the shard, so a ring that retains events across minor
+   collections promotes two flat blocks once, not
    one small string per event (which is what made a string-array ring
    pay major-heap churn proportional to the event rate).  No locks, no
    atomics — the shard is reached through domain-local storage; the
@@ -34,10 +36,11 @@
    per-domain capture; the engine replays its merged trace from one
    domain, so its rings hold a single shard. *)
 
+module Trace_wire = Goalcom.Trace_wire
+
 type shard = {
-  enc : Binary.enc;  (* the arena: retained events, back to back *)
+  enc : Trace_wire.enc;  (* the arena: retained events, back to back *)
   offs : int array;  (* circular index: where each event starts *)
-  lens : int array;
   mutable head : int;  (* index slot of the oldest retained event *)
   mutable tail : int;  (* next slot to write; equals [head] when full *)
   mutable len : int;
@@ -61,9 +64,8 @@ let create ~capacity =
     Domain.DLS.new_key (fun () ->
         let sh =
           {
-            enc = Binary.enc_create 4096;
+            enc = Trace_wire.create 4096;
             offs = Array.make capacity 0;
-            lens = Array.make capacity 0;
             head = 0;
             tail = 0;
             len = 0;
@@ -83,8 +85,8 @@ let capacity t = t.capacity
    index.  Only called with [base > 0], from [push]. *)
 let compact sh base =
   let e = sh.enc in
-  let retained = Binary.enc_len e - base in
-  let buf = Binary.enc_bytes e in
+  let retained = Trace_wire.length e - base in
+  let buf = Trace_wire.bytes e in
   Bytes.blit buf base buf 0 retained;
   let cap = Array.length sh.offs in
   for k = 0 to sh.len - 1 do
@@ -92,18 +94,16 @@ let compact sh base =
     let i = if i >= cap then i - cap else i in
     Array.unsafe_set sh.offs i (Array.unsafe_get sh.offs i - base)
   done;
-  Binary.enc_set_len e retained
+  Trace_wire.truncate e retained
 
-(* Index the event just appended at [start] — by [push_sh] or
-   [push_encoded_sh] — evicting and compacting when full.  The one
-   copy of the slot bookkeeping both push paths share. *)
+(* Index the event just appended at [start] — by [push_sh],
+   [push_encoded_sh] or a typed emitter writing through the offered
+   wire — evicting and compacting when full.  The one copy of the slot
+   bookkeeping every push path shares. *)
 let commit sh start =
-  let e = sh.enc in
-  let n = Binary.enc_len e - start in
   let cap = Array.length sh.offs in
   let i = sh.tail in
   Array.unsafe_set sh.offs i start;
-  Array.unsafe_set sh.lens i n;
   sh.tail <- (if i + 1 = cap then 0 else i + 1);
   if sh.len = cap then begin
     (* Full: the write above overwrote the oldest slot ([tail] chases
@@ -117,21 +117,21 @@ let commit sh start =
        appends that outgrow the arena while the prefix is mostly live
        are handled by the cursor's own doubling. *)
     let base = Array.unsafe_get sh.offs sh.head in
-    let cursor = Binary.enc_len e in
+    let cursor = Trace_wire.length sh.enc in
     if base > cursor - base + 4096 then compact sh base
   end
   else sh.len <- sh.len + 1
 
 let push_sh sh ev =
-  let start = Binary.enc_len sh.enc in
+  let start = Trace_wire.length sh.enc in
   Binary.put_event sh.enc ev;
   commit sh start
 
 (* An event some other cursor already encoded: copy its bytes in, no
    decode and no re-encode. *)
 let push_encoded_sh sh b off len =
-  let start = Binary.enc_len sh.enc in
-  Binary.put_slice sh.enc b off len;
+  let start = Trace_wire.length sh.enc in
+  Trace_wire.put_slice sh.enc b off len;
   commit sh start
 
 (* [k] events pushed and then evicted, their bytes never seen.  Only
@@ -149,10 +149,12 @@ let sink t ev = push_sh (Domain.DLS.get t.slot) ev
    time removes it.  Sound only because the returned closure is used
    from the domain that called [domain_sink] — which is exactly the
    single-domain shape of the engine replay, the chaos capture and the
-   bench harness.  The closure also offers its encoded form to Trace,
-   so a producer replaying encoded events (the session engine) into
-   exactly this sink copies bytes instead of decoding them, and skips
-   with [discard] the events the shard's capacity would evict. *)
+   bench harness.  The closure also offers its encoded form to Trace:
+   Trace's typed emitters write straight into the shard's arena and
+   commit through the shard's index, a producer replaying encoded
+   events (the session engine) into exactly this sink copies bytes
+   instead of decoding them, and it skips with [discard] the events the
+   shard's capacity would evict. *)
 let domain_sink t =
   let sh = Domain.DLS.get t.slot in
   let sink ev = push_sh sh ev in
@@ -161,6 +163,7 @@ let domain_sink t =
       push = push_encoded_sh sh;
       retain = t.capacity;
       discard = discard_sh sh;
+      wire = Write { enc = sh.enc; commit = (fun start -> commit sh start) };
     };
   sink
 
@@ -181,10 +184,14 @@ let slots t =
   with_shards t
     (List.concat_map (fun sh ->
          let cap = Array.length sh.offs in
-         let buf = Binary.enc_bytes sh.enc in
+         let buf = Trace_wire.bytes sh.enc in
          List.init sh.len (fun k ->
-             let i = (sh.head + k) mod cap in
-             Bytes.sub_string buf sh.offs.(i) sh.lens.(i))))
+             let start = sh.offs.((sh.head + k) mod cap) in
+             let stop =
+               if k + 1 < sh.len then sh.offs.((sh.head + k + 1) mod cap)
+               else Trace_wire.length sh.enc
+             in
+             Bytes.sub_string buf start (stop - start))))
 
 let events t =
   List.map
@@ -197,7 +204,7 @@ let events t =
 let clear t =
   with_shards t
     (List.iter (fun sh ->
-         Binary.enc_set_len sh.enc 0;
+         Trace_wire.truncate sh.enc 0;
          sh.head <- 0;
          sh.tail <- 0;
          sh.len <- 0;

@@ -8,7 +8,9 @@
     domain reaches its own shard through domain-local storage — zero
     synchronisation per event, and a sink observed by many pool workers
     records each worker's stream separately — and each event costs one
-    binary encode plus an array store.
+    binary encode plus an array store (through {!domain_sink}'s offer,
+    the typed emitters write the encoding without building the
+    event).
 
     {!events} decodes the retained slots back to ordinary
     {!Goalcom.Trace.event}s (shards concatenated in first-use order,
@@ -42,7 +44,11 @@ val domain_sink : t -> Goalcom.Trace.sink
     the bench) and plain {!sink} everywhere else.
 
     The closure also makes an offer through
-    {!Goalcom.Trace.offer_encoded}.  Its [push] stores one event given
+    {!Goalcom.Trace.offer_encoded}.  Its [wire] is the shard's arena
+    with the shard's index, eviction and compaction as [commit]: while
+    this exact closure is installed, the typed emitters write each
+    event's bytes straight into the shard and build no event, leaving
+    the shard exactly as the closure would.  Its [push] stores one event given
     as its {!Binary} encoding, copied verbatim, and leaves the shard
     exactly as the closure would for the decoded event.  Its [retain]
     is {!capacity}: the shard keeps only the last [capacity] events.

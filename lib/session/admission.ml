@@ -95,6 +95,37 @@ let live t = t.live
 let queued t = t.queued
 let queued_in t cname = Queue.length t.classes.(class_index t cname).queue
 let shed_count t = t.shed
+let classes_of_string s =
+  if String.trim s = "" then Ok []
+  else
+    let rec go acc = function
+      | [] -> Ok (List.rev acc)
+      | part :: rest -> (
+          let bad () =
+            Error
+              (Printf.sprintf
+                 "Admission.classes_of_string: bad entry %S (want \
+                  CLASS=WEIGHT with WEIGHT >= 1)"
+                 part)
+          in
+          match String.index_opt part '=' with
+          | None -> bad ()
+          | Some i -> (
+              let cname = String.trim (String.sub part 0 i) in
+              let w =
+                String.trim (String.sub part (i + 1) (String.length part - i - 1))
+              in
+              match int_of_string_opt w with
+              | Some w when w >= 1 && cname <> "" ->
+                  if List.mem_assoc cname acc then
+                    Error
+                      (Printf.sprintf
+                         "Admission.classes_of_string: duplicate class %s" cname)
+                  else go ((cname, w) :: acc) rest
+              | _ -> bad ()))
+    in
+    go [] (String.split_on_char ',' s)
+
 let has_capacity t = t.live < t.max_live
 
 let claim t =

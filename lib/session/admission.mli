@@ -32,6 +32,13 @@ val make :
     if [max_live < 1], [queue_capacity < 0], a weight is [< 1], or a
     class name repeats. *)
 
+val classes_of_string : string -> ((string * int) list, string) result
+(** Parse [CLASS=WEIGHT[,CLASS=WEIGHT..]] (names and weights trimmed;
+    blank = no classes) into {!make}'s [classes].  A weight must be an
+    integer [>= 1], a name non-empty, and no name may repeat, so every
+    [Ok] value is one {!make} accepts.  Errors name the offending
+    entry. *)
+
 val has_capacity : t -> bool
 
 val claim : t -> unit

@@ -45,9 +45,7 @@ let none = { directives = []; spec = "" }
 
 let emit_fault fault detail =
   let h = Trace.handle () in
-  if Trace.handle_enabled h then
-    Trace.handle_emit h
-      (Trace.Fault { round = Trace.handle_round h; fault; detail })
+  Trace.emit_fault h ~round:(Trace.handle_round h) ~fault ~detail
 
 (* --- storm combinators ------------------------------------------------ *)
 

@@ -23,10 +23,13 @@ module Binary = Goalcom_obs.Binary
 
    Tracing: when a sink is installed, every session owns an arena —
    an append-only buffer of events in Goalcom_obs.Binary's encoding —
-   and a count of the events it captured.  Its capture sink, built
-   once per session, is installed around stepper creation and around
-   each quantum, and the engine appends its own Supervise events
-   through it too.  The merged trace — arenas concatenated in
+   and a count of the events it captured.  A capture sink, one per
+   domain taking part in a tick, is installed around that domain's
+   share of the quantum (and around each stepper's creation) and
+   pointed at each session in turn; its offer makes Trace's typed
+   emitters write each event's bytes straight into that session's
+   arena, building no event.  The engine writes its own Supervise and
+   Violation events there too.  The merged trace — arenas concatenated in
    session-id order — is replayed into the ambient sink at the end,
    so Trace.split_runs on one session's slice segments its
    incarnations exactly as it does for the crash-resume harness.  A
@@ -39,7 +42,10 @@ module Binary = Goalcom_obs.Binary
    N events can never reach the sink's retained tail — counts only
    grow — so at the end of each tick a watermark that only moves up
    releases the arenas below it, and a released session's capture
-   only counts.  The replay [discard]s the released prefix's count and
+   only counts: its events are neither built nor encoded.  The
+   watermark reads a running total of the events captured above it,
+   kept where the captures happen, so a tick costs no walk over the
+   sessions.  The replay [discard]s the released prefix's count and
    pushes the rest, which number at least N: the sink ends as if every
    event had been pushed, while the arenas hold at most the watermark
    session's events plus fewer than N above it, plus one tick's
@@ -154,29 +160,74 @@ type phase =
   | Backoff of { due : int }
   | Terminal of outcome
 
-(* A traced session's events, encoded, and the sink that appends to
-   them (built once, installed around every quantum).  [events] counts
-   every captured event; once the retention watermark releases the
-   session, [arena] is [None] and the capture only counts. *)
-type trace = {
-  mutable arena : Binary.enc option;
-  mutable events : int;
-  capture : Trace.sink;
+(* A traced session's events, encoded, and their count.  Once the
+   retention watermark releases the session, [arena] is [None] and its
+   captures only count. *)
+type trace = { mutable arena : Trace_wire.enc option; mutable events : int }
+
+let new_trace () = { arena = Some (Trace_wire.create 256); events = 0 }
+let count t = t.events <- t.events + 1
+
+(* The ambient sink while the engine steps sessions on one domain:
+   installed once around the domain's share of a tick (or around one
+   incarnation's start) and pointed at each session in turn.  Its
+   offer's wire makes Trace's typed emitters write straight into the
+   current session's arena, committing by counting; for a released
+   session it only counts, so the event is neither built nor encoded.
+   [sink] takes any event that still arrives built.  A session arena
+   keeps every event ([retain] = [max_int]), so no producer can meet
+   [discard]'s contract; it counts like [push]. *)
+type capture = {
+  mutable cur : trace;
+  sink : Trace.sink;
+  offer : Trace.encoded_sink;
+  commit : int -> unit;
+  counting : Trace.wire;
 }
 
-let new_trace () =
-  let arena = Some (Binary.enc_create 256) in
-  let rec t =
+let new_capture () =
+  let rec c =
     {
-      arena;
-      events = 0;
-      capture =
+      cur = { arena = None; events = 0 };
+      sink =
         (fun ev ->
-          t.events <- t.events + 1;
-          match t.arena with Some a -> Binary.put_event a ev | None -> ());
+          count c.cur;
+          match c.cur.arena with Some a -> Binary.put_event a ev | None -> ());
+      offer;
+      commit = (fun _ -> count c.cur);
+      counting = Trace.Count (fun () -> count c.cur);
+    }
+  and offer =
+    {
+      Trace.push =
+        (fun b off len ->
+          count c.cur;
+          match c.cur.arena with
+          | Some a -> Trace_wire.put_slice a b off len
+          | None -> ());
+      retain = max_int;
+      discard = (fun k -> c.cur.events <- c.cur.events + k);
+      wire = Trace.Count ignore;
     }
   in
-  t
+  c
+
+let point c t =
+  c.cur <- t;
+  c.offer.wire <-
+    (match t.arena with
+    | Some enc -> Trace.Write { enc; commit = c.commit }
+    | None -> c.counting)
+
+let with_capture c f = Trace.with_sink ~offer:c.offer c.sink f
+
+(* Advance a stepper by up to [k] rounds; a run whose termination
+   condition already holds finishes inside the quantum instead of
+   paying a whole extra tick for the finalizing step. *)
+let rec advance st k =
+  if Exec.Stepper.finished st then ()
+  else if Exec.Stepper.finishing st then ignore (Exec.Stepper.step st)
+  else if k > 0 && Exec.Stepper.step st then advance st (k - 1)
 
 type session = {
   id : int;
@@ -253,6 +304,16 @@ let run ?(chaos = Chaos.none) ?(config = default_config) ?jobs ?(groups = [])
         b
   in
   let restarts = ref 0 in
+  (* Sessions [0, !released) have had their arenas dropped.  Session
+     [w] goes once the sessions above it hold [retain] events, which
+     [above] keeps as a running total: every capture into a session
+     above the watermark adds to it where it happens (the sequential
+     phase's captures one by one, the quantum's as each shard's
+     delta). *)
+  let released = ref 0 in
+  let above = ref 0 in
+  let captured s k = if s.id > !released then above := !above + k in
+  let events s = match s.trace with Some t -> t.events | None -> 0 in
   (* Every supervision decision goes to the observer hook (a live
      Rollup, typically) whether or not tracing is on — the hook is how
      serve reports fleet stats without retaining any trace — and into
@@ -265,11 +326,22 @@ let run ?(chaos = Chaos.none) ?(config = default_config) ?jobs ?(groups = [])
     | Some f -> f ~tick ~session:s.id ~action ~detail
     | None -> ());
     match s.trace with
-    | Some t -> t.capture (Trace.Supervise { tick; session = s.id; action; detail })
+    | Some t ->
+        Option.iter
+          (fun a -> Trace_wire.supervise a ~tick ~session:s.id ~action ~detail)
+          t.arena;
+        count t;
+        captured s 1
     | None -> ()
   in
+  (* The capture of the sequential phase (incarnation starts). *)
+  let seq_capture = if tracing then Some (new_capture ()) else None in
   let with_session_sink s f =
-    match s.trace with Some t -> Trace.with_sink t.capture f | None -> f ()
+    match (s.trace, seq_capture) with
+    | Some t, Some c ->
+        point c t;
+        with_capture c f
+    | _ -> f ()
   in
   let emit_breaker_change s ~tick = function
     | None -> ()
@@ -284,6 +356,7 @@ let run ?(chaos = Chaos.none) ?(config = default_config) ?jobs ?(groups = [])
     sup s ~tick
       (if restarted then "restart" else "start")
       (Printf.sprintf "incarnation %d" s.incarnations);
+    let before = events s in
     with_session_sink s (fun () ->
         let user = s.spec.make_user ~checkpoint:s.checkpoint in
         let server = Fault.apply s.fault s.spec.server in
@@ -292,7 +365,8 @@ let run ?(chaos = Chaos.none) ?(config = default_config) ?jobs ?(groups = [])
             ~retention:Exec.Stepper.Summary ~goal:s.spec.goal ~user ~server
             s.rng
         in
-        s.phase <- Running stepper)
+        s.phase <- Running stepper);
+    captured s (events s - before)
   in
   (* Gate a (re)start through the class breaker; true = started. *)
   let try_begin s ~tick ~restarted =
@@ -332,15 +406,7 @@ let run ?(chaos = Chaos.none) ?(config = default_config) ?jobs ?(groups = [])
     s.phase <- Terminal (Done { rounds = s.rounds_total; incarnations = s.incarnations; state });
     Admission.release adm
   in
-  (* Sessions [0, !released) have had their arenas dropped.  Session
-     [w] goes once the sessions above it hold [retain] events. *)
-  let released = ref 0 in
-  let events s = match s.trace with Some t -> t.events | None -> 0 in
   let release_retired () =
-    let above = ref 0 in
-    for i = !released + 1 to n - 1 do
-      above := !above + events sessions.(i)
-    done;
     while !released < n && !above >= retain do
       Option.iter (fun t -> t.arena <- None) sessions.(!released).trace;
       incr released;
@@ -453,33 +519,43 @@ let run ?(chaos = Chaos.none) ?(config = default_config) ?jobs ?(groups = [])
           sessions;
         let m = !m in
         let shards = min m width in
+        (* Each shard returns the events its sessions above the
+           watermark captured; the watermark does not move during the
+           quantum. *)
         let tasks =
           Array.init shards (fun k ->
               let lo = m * k / shards and hi = m * (k + 1) / shards in
               fun () ->
-                for i = lo to hi - 1 do
-                  let s = running.(i) in
-                  let st =
-                    match s.phase with Running st -> st | _ -> assert false
-                  in
-                  let before = Exec.Stepper.rounds_executed st in
-                  let quantum () =
-                    let rec go k =
-                      if Exec.Stepper.finished st then ()
-                      else if Exec.Stepper.finishing st then
-                        ignore (Exec.Stepper.step st)
-                      else if k > 0 then
-                        if Exec.Stepper.step st then go (k - 1) else ()
+                let capture = if tracing then Some (new_capture ()) else None in
+                let shard () =
+                  let captured_above = ref 0 in
+                  for i = lo to hi - 1 do
+                    let s = running.(i) in
+                    let st =
+                      match s.phase with Running st -> st | _ -> assert false
                     in
-                    go config.quantum
-                  in
-                  with_session_sink s quantum;
-                  let delta = Exec.Stepper.rounds_executed st - before in
-                  s.inc_rounds <- s.inc_rounds + delta;
-                  s.rounds_total <- s.rounds_total + delta
-                done)
+                    let before = Exec.Stepper.rounds_executed st in
+                    let events_before = events s in
+                    (match (capture, s.trace) with
+                    | Some c, Some t -> point c t
+                    | _ -> ());
+                    advance st config.quantum;
+                    let delta = Exec.Stepper.rounds_executed st - before in
+                    s.inc_rounds <- s.inc_rounds + delta;
+                    s.rounds_total <- s.rounds_total + delta;
+                    if s.id > !released then
+                      captured_above :=
+                        !captured_above + events s - events_before
+                  done;
+                  !captured_above
+                in
+                match capture with
+                | Some c -> with_capture c shard
+                | None -> shard ())
         in
-        ignore (Goalcom_par.Pool.run pool tasks : unit array);
+        Array.iter
+          (fun d -> above := !above + d)
+          (Goalcom_par.Pool.run pool tasks);
         (* 6a. group arbiters: one slot per tick per live group.  The
            parallel quantum only staged per-member state (each member
            touches its own cells); everything cross-member — winner
@@ -507,7 +583,10 @@ let run ?(chaos = Chaos.none) ?(config = default_config) ?jobs ?(groups = [])
                 (match s.trace with
                 | Some t ->
                     List.iter
-                      (fun round -> t.capture (Trace.Violation { round }))
+                      (fun round ->
+                        Option.iter (fun a -> Trace_wire.violation a ~round) t.arena;
+                        count t;
+                        captured s 1)
                       outcome.Outcome.violation_rounds
                 | None -> ());
                 if outcome.Outcome.achieved then succeed s ~tick view
@@ -576,7 +655,7 @@ let run ?(chaos = Chaos.none) ?(config = default_config) ?jobs ?(groups = [])
     Array.iter
       (fun s ->
         match s.trace with
-        | Some { arena = Some a; _ } -> replay (Binary.enc_bytes a) (Binary.enc_len a)
+        | Some { arena = Some a; _ } -> replay (Trace_wire.bytes a) (Trace_wire.length a)
         | _ -> ())
       sessions
   end;

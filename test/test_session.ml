@@ -347,6 +347,47 @@ let prop_chaos_of_string_total =
        ~accepted:(fun c -> List.for_all directive_ok (Chaos.directives c))
        (Chaos.of_string ~alphabet:4))
 
+(* --class-weights specs: a repeated class is an error, not the
+   [Admission.make] exception it used to reach. *)
+let test_classes_of_string () =
+  let ok spec want =
+    match Admission.classes_of_string spec with
+    | Ok c -> Alcotest.(check (list (pair string int))) spec want c
+    | Error e -> Alcotest.failf "%S: %s" spec e
+  in
+  ok "" [];
+  ok "  " [];
+  ok "printing=3,maze-corridor=1" [ ("printing", 3); ("maze-corridor", 1) ];
+  ok " printing = 2 " [ ("printing", 2) ];
+  List.iter
+    (fun bad ->
+      match Admission.classes_of_string bad with
+      | Ok _ -> Alcotest.failf "%S parsed" bad
+      | Error e ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%S error names the module" bad)
+            true
+            (String.starts_with ~prefix:"Admission." e))
+    [ "printing=1,printing=2"; "a=1, a =3"; "printing"; "printing=0"; "=2";
+      "printing=x"; "printing=1,"; "printing=-1" ]
+
+(* Whatever the parser accepts, [Admission.make] accepts: weights at
+   least 1, names non-empty and distinct. *)
+let prop_classes_of_string_total =
+  let valid =
+    [ "printing=3,maze-corridor=1"; "printing=1"; "a=2,b=3,default=1"; "x=10" ]
+  in
+  let accepted classes =
+    List.for_all (fun (c, w) -> c <> "" && w >= 1) classes
+    &&
+    match Admission.make ~classes ~max_live:1 ~queue_capacity:0 () with
+    | _ -> true
+    | exception Invalid_argument _ -> false
+  in
+  QCheck.Test.make ~count:2000 ~name:"class weights: fuzzed specs fail cleanly"
+    (QCheck.make ~print:String.escaped (Helpers.spec_fuzz_gen ~valid))
+    (Helpers.parser_total ~accepted Admission.classes_of_string)
+
 (* --- Engine ----------------------------------------------------------- *)
 
 (* Tiny standard mix (printing / corridor / open maze) from the E18
@@ -613,6 +654,8 @@ let suite =
     QCheck_alcotest.to_alcotest prop_crash_restart_reaches_same_state;
     QCheck_alcotest.to_alcotest prop_arrival_of_string_total;
     QCheck_alcotest.to_alcotest prop_chaos_of_string_total;
+    ("class weights parse", `Quick, test_classes_of_string);
+    QCheck_alcotest.to_alcotest prop_classes_of_string_total;
   ]
 
 let () = Alcotest.run "session" [ ("session", suite) ]

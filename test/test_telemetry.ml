@@ -56,9 +56,8 @@ let msg_gen =
 
 let party_gen = QCheck.Gen.oneofl [ Trace.User; Trace.Server; Trace.World ]
 
-let event_gen =
+let event_gen_with int_field =
   QCheck.Gen.(
-    let int_field = oneof [ small_nat; int_bound 100_000; return 0 ] in
     oneof
       [
         map
@@ -107,6 +106,17 @@ let event_gen =
              (pair (oneof [ int_field; return (-1) ]) (pair bool raw_string_gen)));
       ])
 
+let event_gen =
+  event_gen_with QCheck.Gen.(oneof [ small_nat; int_bound 100_000; return 0 ])
+
+(* Every field over the whole int range: negative, and at both ends of
+   the 63-bit domain, where zigzag and the nine-group varint are
+   exercised. *)
+let signed_event_gen =
+  event_gen_with
+    QCheck.Gen.(
+      oneof [ small_signed_int; int; return min_int; return max_int; return (-1) ])
+
 let event_arb =
   QCheck.make event_gen ~print:(fun ev -> Goalcom_obs.Jsonl.event_to_json ev)
 
@@ -137,16 +147,16 @@ let prop_binary_cursor_slices =
     ~name:"Binary: cursor appends decode slice by slice"
     QCheck.(make QCheck.Gen.(list_size (1 -- 12) event_gen))
     (fun evs ->
-      let e = Binary.enc_create 16 in
+      let e = Trace_wire.create 16 in
       let slices =
         List.map
           (fun ev ->
-            let start = Binary.enc_len e in
+            let start = Trace_wire.length e in
             Binary.put_event e ev;
-            (start, Binary.enc_len e - start))
+            (start, Trace_wire.length e - start))
           evs
       in
-      let buf = Binary.enc_bytes e in
+      let buf = Trace_wire.bytes e in
       List.for_all2
         (fun ev (start, len) ->
           Binary.event_of_string (Bytes.sub_string buf start len) = Ok ev)
@@ -174,9 +184,9 @@ let prop_binary_skip_matches_decode =
     QCheck.(make ~print:(fun evs -> String.concat "\n" (List.map Goalcom_obs.Jsonl.event_to_json evs))
               QCheck.Gen.(list_size (0 -- 12) event_gen))
     (fun evs ->
-      let e = Binary.enc_create 16 in
+      let e = Trace_wire.create 16 in
       List.iter (Binary.put_event e) evs;
-      let b = Binary.enc_bytes e and len = Binary.enc_len e in
+      let b = Trace_wire.bytes e and len = Trace_wire.length e in
       let s = Bytes.sub_string b 0 len in
       let rec walk p =
         if p >= len then p = len
@@ -233,6 +243,161 @@ let test_binary_huge_length_is_error () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "enormous string length decoded"
   | exception e -> Alcotest.failf "raised %s" (Printexc.to_string e)
+
+(* --- Typed emitters ----------------------------------------------------- *)
+
+(* The typed emitter for [ev]'s kind, called with [ev]'s fields. *)
+let emit_typed h (ev : Trace.event) =
+  match ev with
+  | Trace.Run_start { goal; user; server; horizon; drain; world_choice } ->
+      Trace.emit_run_start h ~goal ~user ~server ~horizon ~drain ~world_choice
+  | Trace.Round_start { round } -> Trace.emit_round_start h ~round
+  | Trace.Emit { round; src; dst; msg } -> Trace.emit_msg h ~round ~src ~dst msg
+  | Trace.Halt { round } -> Trace.emit_halt h ~round
+  | Trace.Sense { round; sensor; positive; clock; patience } ->
+      Trace.emit_sense h ~round ~sensor ~positive ~clock ~patience
+  | Trace.Switch { round; from_index; to_index; attempt } ->
+      Trace.emit_switch h ~round ~from_index ~to_index ~attempt
+  | Trace.Resume { index; slots } -> Trace.emit_resume h ~index ~slots
+  | Trace.Session { round; index; budget } ->
+      Trace.emit_session h ~round ~index ~budget
+  | Trace.Fault { round; fault; detail } ->
+      Trace.emit_fault h ~round ~fault ~detail
+  | Trace.Violation { round } -> Trace.emit_violation h ~round
+  | Trace.Run_end { rounds; halted } -> Trace.emit_run_end h ~rounds ~halted
+  | Trace.Supervise { tick; session; action; detail } ->
+      Trace.emit_supervise h ~tick ~session ~action ~detail
+  | Trace.Warm { server_class; enum; index; accepted; detail } ->
+      Trace.emit_warm h ~server_class ~enum ~index ~accepted ~detail
+
+(* An offer whose only use is its wire. *)
+let offer_of wire =
+  { Trace.push = (fun _ _ _ -> ()); retain = max_int; discard = ignore; wire }
+
+(* A wire target like the session engine's: an arena and a commit. *)
+let arena_offer commit =
+  let enc = Trace_wire.create 16 in
+  (enc, offer_of (Trace.Write { enc; commit }))
+
+(* Typed emission writes exactly the bytes [Binary] encodes for the
+   built event, through each of the three targets: a session-style
+   arena (one commit, at the offset the event starts), the ring's own
+   [domain_sink] (one slot holding exactly those bytes), and a plain
+   sink (the built event itself). *)
+let prop_typed_emit_is_encode =
+  QCheck.Test.make ~count:(qcount * 2)
+    ~name:"typed emit bytes = Binary.encode of the built event"
+    QCheck.(
+      make ~print:(fun (p, ev) ->
+          Printf.sprintf "prefix %d: %s" p (Goalcom_obs.Jsonl.event_to_json ev))
+        QCheck.Gen.(pair (0 -- 40) signed_event_gen))
+    (fun (prefix, ev) ->
+      let expect = Binary.event_to_string ev in
+      (* The arena: [prefix] bytes already there, as after earlier
+         events. *)
+      let starts = ref [] in
+      let enc, offer = arena_offer (fun start -> starts := start :: !starts) in
+      Trace_wire.put_slice enc (Bytes.make prefix 'p') 0 prefix;
+      Trace.with_sink ~offer ignore (fun () -> emit_typed (Trace.handle ()) ev);
+      let written =
+        Bytes.sub_string (Trace_wire.bytes enc) prefix
+          (Trace_wire.length enc - prefix)
+      in
+      let r = Ring.create ~capacity:4 in
+      Trace.with_sink (Ring.domain_sink r) (fun () ->
+          emit_typed (Trace.handle ()) ev);
+      let built = ref [] in
+      Trace.with_sink (fun e -> built := e :: !built) (fun () ->
+          emit_typed (Trace.handle ()) ev);
+      if written <> expect then
+        QCheck.Test.fail_reportf "arena bytes %S, encode %S" written expect
+      else if !starts <> [ prefix ] then
+        QCheck.Test.fail_reportf "commits at [%s], want [%d]"
+          (String.concat ";" (List.map string_of_int !starts))
+          prefix
+      else if Ring.slots r <> [ expect ] then
+        QCheck.Test.fail_report "ring slot differs from the encoding"
+      else !built = [ ev ])
+
+(* A [Count] wire neither builds nor encodes: the counter runs once per
+   emission and nothing else is touched. *)
+let test_count_wire_only_counts () =
+  let n = ref 0 and built = ref 0 in
+  let offer = offer_of (Trace.Count (fun () -> incr n)) in
+  let evs = QCheck.Gen.generate ~rand:(Random.State.make [| 5 |]) ~n:300 signed_event_gen in
+  Trace.with_sink ~offer (fun _ -> incr built) (fun () ->
+      let h = Trace.handle () in
+      List.iter (emit_typed h) evs);
+  Alcotest.(check int) "counted" 300 !n;
+  Alcotest.(check int) "built" 0 !built
+
+(* Minor words allocated by [f], net of the measurement's own float. *)
+let minor_words f =
+  let w0 = Gc.minor_words () in
+  let w1 = Gc.minor_words () in
+  f ();
+  let w2 = Gc.minor_words () in
+  (w2 -. w1) -. (w1 -. w0)
+
+(* One traced round's events, written [n] times through the typed
+   emitters: arguments are constants, so any word allocated is the
+   emitters'. *)
+let emit_rounds h n =
+  let msg = Msg.Sym 2 in
+  for round = 1 to n do
+    Trace.emit_round_start h ~round;
+    Trace.emit_sense h ~round ~sensor:"plant-in-range" ~positive:true ~clock:round
+      ~patience:16;
+    Trace.emit_msg h ~round ~src:Trace.User ~dst:Trace.Server msg;
+    Trace.emit_msg h ~round ~src:Trace.World ~dst:Trace.User msg;
+    Trace.emit_halt h ~round
+  done
+
+(* After warm-up (the arenas have grown to size), typed emission into a
+   session-style arena and into the ring's shard allocates nothing. *)
+let test_typed_emit_allocates_nothing () =
+  let n = 2_000 and count = ref 0 in
+  let enc, offer = arena_offer (fun _ -> incr count) in
+  Trace.with_sink ~offer ignore (fun () ->
+      let h = Trace.handle () in
+      emit_rounds h n;
+      Trace_wire.truncate enc 0;
+      Alcotest.(check (float 0.)) "session arena: minor words" 0.
+        (minor_words (fun () -> emit_rounds h n)));
+  (* A ring that evicts and compacts on the measured pass too. *)
+  let r = Ring.create ~capacity:(3 * n) in
+  Trace.with_sink (Ring.domain_sink r) (fun () ->
+      let h = Trace.handle () in
+      emit_rounds h n;
+      Alcotest.(check (float 0.)) "ring shard: minor words" 0.
+        (minor_words (fun () -> emit_rounds h n)));
+  Alcotest.(check bool) "ring evicted" true (Ring.evicted r > 0)
+
+(* With no sink the typed emitters are a load and a branch: an untraced
+   Summary stepper on the control kernel allocates no more per step
+   than the 62 words it did when every site built its event behind an
+   [enabled] guard (the figure before the typed emitters, measured the
+   same way: steps 1001-2000 of seed 11). *)
+let test_untraced_step_allocation () =
+  let alphabet = 4 in
+  let dialects = Goalcom_automata.Dialect.enumerate_rotations ~size:alphabet in
+  let module Control = Goalcom_goals.Control in
+  let st =
+    Exec.Stepper.create ~config:(Exec.config ~horizon:3000 ())
+      ~retention:Exec.Stepper.Summary ~goal:(Control.goal ~alphabet ())
+      ~user:(Control.universal_user ~alphabet dialects)
+      ~server:(Control.server ~alphabet (Goalcom_automata.Enum.get_exn dialects 2))
+      (Goalcom_prelude.Rng.make 11)
+  in
+  let steps () =
+    for _ = 1 to 1000 do
+      ignore (Exec.Stepper.step st)
+    done
+  in
+  steps ();
+  let per_step = minor_words steps /. 1000. in
+  if per_step > 62. then
+    Alcotest.failf "untraced step allocates %.3f words (at most 62)" per_step
 
 (* --- Ring wrap / eviction / compaction -------------------------------- *)
 
@@ -299,16 +464,16 @@ let test_ring_encoded_push_matches_event_push () =
   let evs =
     QCheck.Gen.generate ~rand:(Random.State.make [| 17 |]) ~n event_gen
   in
-  let e = Binary.enc_create 16 in
+  let e = Trace_wire.create 16 in
   let slices =
     List.map
       (fun ev ->
-        let start = Binary.enc_len e in
+        let start = Trace_wire.length e in
         Binary.put_event e ev;
-        (start, Binary.enc_len e - start))
+        (start, Trace_wire.length e - start))
       evs
   in
-  let b = Binary.enc_bytes e in
+  let b = Trace_wire.bytes e in
   List.iter
     (fun capacity ->
       let by_event = Ring.create ~capacity and by_slice = Ring.create ~capacity in
@@ -337,7 +502,7 @@ let test_ring_encoded_push_matches_event_push () =
       let retained =
         List.fold_left (fun acc s -> acc + String.length s) 0 (Ring.slots by_slice)
       in
-      let dead = Binary.enc_len e - retained in
+      let dead = Trace_wire.length e - retained in
       if dead <= retained + 4096 then
         Alcotest.failf "capacity %d: %d dead bytes never force a compaction" capacity dead)
     [ 1; 7; 4096 ]
@@ -632,6 +797,12 @@ let suite =
     QCheck_alcotest.to_alcotest prop_binary_decode_never_raises;
     Alcotest.test_case "binary huge string length" `Quick
       test_binary_huge_length_is_error;
+    QCheck_alcotest.to_alcotest prop_typed_emit_is_encode;
+    Alcotest.test_case "count wire only counts" `Quick test_count_wire_only_counts;
+    Alcotest.test_case "typed emit allocates nothing" `Quick
+      test_typed_emit_allocates_nothing;
+    Alcotest.test_case "untraced step allocation" `Quick
+      test_untraced_step_allocation;
     Alcotest.test_case "ring retains before wrap" `Quick
       test_ring_retains_before_wrap;
     Alcotest.test_case "ring wraps to last capacity" `Quick
