@@ -41,6 +41,9 @@ ci: check
 	dune exec bin/main.exe -- trace attribution /tmp/e1.jsonl
 	dune exec bin/main.exe -- demo printing --user universal --trace | grep -q 'overhead ledger'
 	dune exec bin/main.exe -- trace diff /tmp/e1.jsonl /tmp/e1.jsonl
+	dune exec bin/main.exe -- chaos run --sessions 120 --jobs 2 --trace /tmp/chaos-a.jsonl
+	dune exec bin/main.exe -- chaos run --sessions 120 --jobs 2 --ring 1000000 --trace /tmp/chaos-b.jsonl
+	cmp /tmp/chaos-a.jsonl /tmp/chaos-b.jsonl
 	dune exec bin/main.exe -- trace-golden test/golden
 	git diff --exit-code test/golden
 	BENCH_CHECK_ROUNDS=5 BENCH_CHECK_BUDGET=0.01 dune exec --profile release bench/main.exe -- --check

@@ -26,10 +26,6 @@ val is_silence : t -> bool
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 
-val add_buffer : Buffer.t -> t -> unit
-(** Append {!to_string}'s rendering directly to a buffer — what the
-    trace serialisers use, avoiding a formatter round-trip per event. *)
-
 val of_string : string -> (t, string) result
 (** Inverse of {!to_string}: [of_string (to_string m) = Ok m] for every
     message.  The trace reader ([Goalcom_obs.Jsonl]) uses this to turn

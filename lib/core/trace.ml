@@ -143,9 +143,6 @@ let set_sink s =
 
 let emit ev = match (state ()).d_sink with None -> () | Some f -> f ev
 
-let set_round r = (state ()).d_round <- r
-let current_round () = (state ()).d_round
-
 (* Hot-path handle: the per-domain state record itself.  [Domain.DLS.get]
    compiles to a lookup through the domain's local root — cheap, but not
    free, and the engine's step loop used to pay it up to nine times per
@@ -352,7 +349,6 @@ let null _ = ()
 type invariant = { inv_name : string; inv_check : event list -> string option }
 
 let invariant ~name check = { inv_name = name; inv_check = check }
-let invariant_name i = i.inv_name
 
 let rounds_increase =
   invariant ~name:"round numbers strictly increase" (fun events ->

@@ -26,9 +26,9 @@
     function of (strategies, goal, seed, config), so same seed ⇒
     bit-identical trace; timing lives in the metrics layer, out of band.
 
-    {b Domains.}  {!set_sink}, {!with_sink}, {!set_round} and their
-    readers act on the {e calling domain only}; fresh domains start with
-    no sink.  The parallel entry points ([Trial.run_par],
+    {b Domains.}  {!set_sink}, {!with_sink}, {!handle_set_round} and
+    their readers act on the {e calling domain only}; fresh domains
+    start with no sink.  The parallel entry points ([Trial.run_par],
     [Universal.finite_par]) install a buffering sink inside each pool
     task and merge the buffers in deterministic (trial, round) order, so
     a parallel run's merged trace equals the sequential trace.
@@ -146,22 +146,16 @@ val with_sink : ?offer:encoded_sink -> sink -> (unit -> 'a) -> 'a
     changed (the session engine installs each session's arena this
     way). *)
 
-val set_round : int -> unit
-(** Maintained by {!Exec.run} while tracing so emitters that cannot see
-    the round number (fault wrappers) can stamp their events. *)
-
-val current_round : unit -> int
-
 (** {1 The hot-path handle}
 
-    {!emit}, {!enabled} and {!set_round} each perform one domain-local
-    lookup; an emitter that touches the sink several times per round
-    (the {!Exec.Stepper} step loop pays up to nine accesses per round)
-    can fetch the calling domain's trace state {e once} and go through
-    the handle instead.  A handle stays valid while the holder remains
-    on its domain — {!set_sink} and {!with_sink} mutate the same record
-    in place, so a cached handle observes sink changes immediately.
-    Never move a handle across domains. *)
+    {!emit} and {!enabled} each perform one domain-local lookup; an
+    emitter that touches the sink several times per round (the
+    {!Exec.Stepper} step loop pays up to nine accesses per round) can
+    fetch the calling domain's trace state {e once} and go through the
+    handle instead.  A handle stays valid while the holder remains on
+    its domain — {!set_sink} and {!with_sink} mutate the same record in
+    place, so a cached handle observes sink changes immediately.  Never
+    move a handle across domains. *)
 
 type handle
 
@@ -171,6 +165,9 @@ val handle : unit -> handle
 val handle_enabled : handle -> bool
 val handle_emit : handle -> event -> unit
 val handle_set_round : handle -> int -> unit
+(** Maintained by {!Exec.run} while tracing so emitters that cannot see
+    the round number (fault wrappers) can stamp their events. *)
+
 val handle_round : handle -> int
 
 (** {1 Typed emitters}
@@ -282,8 +279,6 @@ type invariant
 val invariant : name:string -> (event list -> string option) -> invariant
 (** The function returns [Some message] describing the first violation,
     [None] if the trace satisfies the invariant. *)
-
-val invariant_name : invariant -> string
 
 val rounds_increase : invariant
 (** [Round_start] rounds are strictly increasing. *)

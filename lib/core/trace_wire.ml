@@ -1,24 +1,48 @@
 (* The writer half of the trace wire format (the reader half is
-   Goalcom_obs.Binary's decoder).
+   Goalcom_obs.Binary's decoder), and the schema both halves follow.
 
    One tag byte per event naming the constructor, then the fields in
    declaration order: LEB128 varints for integers (zigzag-mapped first,
    since rounds are small and positive but Warm.index can be -1 and
    Msg.Int is arbitrary), length-prefixed raw bytes for strings, one
    byte for parties and booleans, and a tagged preorder walk for
-   messages.
-
-   It lives below Trace so the typed emitters (Trace.emit_round_start
-   and friends) can write an event's bytes straight into a sink's
-   arena without building the event value first.  Binary.put_event
-   dispatches a built event to these same writers, so the schema exists
-   in one copy.
+   messages.  [schema] says the same as data, one row per tag; lib/obs
+   reads the wire through it.  The per-kind writers stay hand-written:
+   they are the typed emitters' hot path, which is why this lives below
+   Trace, and the round-trip properties tie each to its row.
 
    Integers are OCaml's native 63-bit ints: zigzag folds the sign into
    the low bit ((n lsl 1) lxor (n asr 62), a bijection on the 63-bit
    domain), then base-128 groups emit low-to-high, at most 9 bytes. *)
 
 type party = User | Server | World
+type field_type = Int | Bool | Str | Party | Msg
+type kind = { name : string; fields : (string * field_type) list }
+
+let schema =
+  let k name fields = { name; fields } in
+  [|
+    k "run_start"
+      [ ("goal", Str); ("user", Str); ("server", Str); ("horizon", Int);
+        ("drain", Int); ("world_choice", Int) ];
+    k "round_start" [ ("round", Int) ];
+    k "emit" [ ("round", Int); ("src", Party); ("dst", Party); ("msg", Msg) ];
+    k "halt" [ ("round", Int) ];
+    k "sense"
+      [ ("round", Int); ("sensor", Str); ("positive", Bool); ("clock", Int);
+        ("patience", Int) ];
+    k "switch" [ ("round", Int); ("from", Int); ("to", Int); ("attempt", Int) ];
+    k "resume" [ ("index", Int); ("slots", Int) ];
+    k "session" [ ("round", Int); ("index", Int); ("budget", Int) ];
+    k "fault" [ ("round", Int); ("fault", Str); ("detail", Str) ];
+    k "violation" [ ("round", Int) ];
+    k "run_end" [ ("rounds", Int); ("halted", Bool) ];
+    k "supervise"
+      [ ("tick", Int); ("session", Int); ("action", Str); ("detail", Str) ];
+    k "warm"
+      [ ("class", Str); ("enum", Str); ("index", Int); ("accepted", Bool);
+        ("detail", Str) ];
+  |]
 
 let zigzag n = (n lsl 1) lxor (n asr 62)
 
@@ -133,35 +157,49 @@ let[@inline] tag_int e tag n =
   Bytes.unsafe_set b p tag;
   e.epos <- varint_at b (p + 1) (zigzag n)
 
-(* Length prefix and bytes at [p] (capacity [9 + length] ensured by the
-   caller); returns the next position. *)
-let string_at b p s =
+(* [s]'s bytes at [p] (capacity ensured by the caller); returns the
+   next position.  Strings here are short (sensor names, JSON keys), so
+   they copy as 8-byte words, the last one overlapping: plain unaligned
+   stores, where a blit pays a C call per string.  In bounds by the
+   [ensure] and the [len >= 8] guard. *)
+let raw_at b p s =
   let len = String.length s in
-  let p = varint_at b p len in
-  (* Short strings (sensor names, actions, classes — the per-round
-     kind) copy as one or two possibly-overlapping 8-byte words: the
-     compiler lowers the [64u] primitives to plain unaligned
-     loads/stores, where a blit would pay a C-call round trip per
-     event.  In bounds by the [ensure] and the [len >= 8] guard. *)
-  if len >= 8 then
-    if len <= 16 then begin
-      set64u b p (get64u s 0);
-      set64u b (p + len - 8) (get64u s (len - 8))
-    end
-    else Bytes.unsafe_blit_string s 0 b p len
+  if len >= 8 then begin
+    let i = ref 0 in
+    while !i + 8 < len do
+      set64u b (p + !i) (get64u s !i);
+      i := !i + 8
+    done;
+    set64u b (p + len - 8) (get64u s (len - 8))
+  end
   else
     for i = 0 to len - 1 do
       Bytes.unsafe_set b (p + i) (String.unsafe_get s i)
     done;
   p + len
 
+(* Length prefix and bytes at [p] (capacity [9 + length] ensured). *)
+let string_at b p s = raw_at b (varint_at b p (String.length s)) s
+
 let put_string e s =
   ensure e (9 + String.length s);
   e.epos <- string_at e.ebuf e.epos s
 
+let put_text e s =
+  ensure e (String.length s);
+  e.epos <- raw_at e.ebuf e.epos s
+
 let[@inline] put_bool_raw e v = put_raw e (if v then '\001' else '\000')
 
 let party_byte = function User -> '\000' | Server -> '\001' | World -> '\002'
+
+(* Field writers for code that walks [schema] (the JSONL reader). *)
+let put_int e n =
+  ensure e 9;
+  put_int_raw e n
+
+let put_bool e v = put_byte e (if v then '\001' else '\000')
+let put_party e p = put_byte e (party_byte p)
 
 (* Each case ensures once for its fixed-size fields (tag byte plus
    varints, 9 bytes each worst case) and then writes raw; strings and

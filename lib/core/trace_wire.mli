@@ -1,22 +1,38 @@
-(** The writer half of the trace wire format: an event's bytes, written
-    field by field without building the {!Trace.event} value.
+(** The trace wire format: its schema, declared once, and the writers
+    of an event's bytes, field by field, without building the
+    {!Trace.event} value.
 
-    One tag byte per event names the constructor (0–12, in
-    {!Trace.event}'s declaration order), then the fields follow in
-    declaration order: integers as zigzag-mapped LEB128 varints (at most
-    9 bytes for the 63-bit domain), strings as a varint byte length plus
-    raw bytes (no escaping), parties and booleans as one byte, messages
-    as a tagged preorder walk.  A [Round_start] costs 2 bytes and a
-    typical [Emit] 6–8.
-
-    {!Trace}'s typed emitters write through these functions into a
-    sink's arena; [Goalcom_obs.Binary.put_event] dispatches a built
-    event to them, and [Goalcom_obs.Binary] holds the decoder that
-    inverts them.  Each writer appends exactly the bytes
-    [Binary.put_event] appends for the corresponding event. *)
+    An event is one tag byte (0–12, {!Trace.event}'s declaration order)
+    and then its fields in declaration order, as {!schema}'s row for
+    the tag lists them.  A [Round_start] costs 2 bytes and a typical
+    [Emit] 6–8.  [Goalcom_obs] reads the wire through {!schema}:
+    [Binary.skip_event], the JSONL transcoder and reader, and
+    [Trace_diff]'s field walk.  The per-kind writers stay hand-written
+    because they are the emission hot path: {!Trace}'s typed emitters
+    write through them into a sink's arena, and
+    [Goalcom_obs.Binary.put_event] dispatches a built event to them.
+    Each appends exactly what its {!schema} row describes. *)
 
 type party = User | Server | World
 (** Re-exported as {!Trace.party}. *)
+
+(** {1 The schema} *)
+
+type field_type =
+  | Int  (** zigzag LEB128 varint, at most 9 bytes *)
+  | Bool  (** one byte, 0 or 1 *)
+  | Str  (** varint byte length, then the raw bytes (no escaping) *)
+  | Party  (** one byte: user 0, server 1, world 2 *)
+  | Msg  (** a tagged preorder walk of a {!Msg.t} *)
+
+type kind = {
+  name : string;  (** the JSONL ["ev"] tag, e.g. ["switch"] *)
+  fields : (string * field_type) list;
+      (** in wire order, each with its JSONL name (["from"], ["class"]) *)
+}
+
+val schema : kind array
+(** Row [t] describes the event whose tag byte is [t]. *)
 
 (** {1 The cursor} *)
 
@@ -40,6 +56,19 @@ val truncate : enc -> int -> unit
 val put_slice : enc -> Bytes.t -> int -> int -> unit
 (** [put_slice e b off len] appends [b.[off .. off+len-1]] verbatim —
     an event some other cursor already wrote. *)
+
+val put_text : enc -> string -> unit
+(** Append the string's bytes, no length prefix (JSONL's lines). *)
+
+(** {1 Field writers}, one per {!field_type} and the tag byte, for code
+    that writes an event by walking its {!schema} row *)
+
+val put_byte : enc -> char -> unit
+val put_int : enc -> int -> unit
+val put_bool : enc -> bool -> unit
+val put_party : enc -> party -> unit
+val put_string : enc -> string -> unit
+val put_msg : enc -> Msg.t -> unit
 
 (** {1 One writer per event kind}
 

@@ -22,7 +22,7 @@
     did ([detail] is ["inbound"]/["outbound"] for per-message faults,
     ["restart"], ["outage"], ["starve"] or ["garble"] for the
     server-level ones).  Rounds are stamped from the engine's ambient
-    round counter ({!Goalcom.Trace.current_round}).  Emission never
+    round counter ({!Goalcom.Trace.handle_round}).  Emission never
     consumes randomness, so traced and untraced runs are bit-identical.
     The purely channel-level faults ({!delay}, {!drop}, {!duplicate})
     reuse {!Goalcom_servers.Channel} wrappers and are not traced. *)

@@ -1,29 +1,11 @@
 open Goalcom
 module W = Trace_wire
 
-(* Compact binary encoding of Trace.event, with an exact decoder.
-
-   This is the wire format of the ring-buffer sink (Ring): one tag byte
-   per event naming the constructor, then the fields in declaration
-   order — LEB128 varints for integers (zigzag-mapped first), length-
-   prefixed raw bytes for strings, one byte for parties and booleans,
-   and a tagged preorder walk for messages.  A typical Round_start is 2
-   bytes and an Emit 6-8 bytes, vs ~35 and ~90 for their JSONL
-   renderings; more importantly encoding is pure byte pushes — no
-   formatting, no escaping, no intermediate strings — which is what
-   gets the enabled-tracing overhead from the JSONL sink's ~500% down
-   to the ring's few tens of percent.
-
-   The writer half lives in lib/core as Trace_wire, below Trace, so
-   Trace's typed emitters can write an event's bytes without building
-   the event; [put_event] below only dispatches a built event to those
-   writers, so the schema exists in one copy.  This module keeps the
-   reader half.
-
-   The decoder inverts the encoder byte-for-byte (qcheck pins the
-   roundtrip over arbitrary events, adversarial Text bytes included),
-   so drained rings feed every existing consumer of Trace.event —
-   Jsonl, Trace_diff, Span, the golden tests — unchanged. *)
+(* The typed bridges between Trace.event and the wire bytes (the
+   schema and writers are lib/core's Trace_wire): [put_event]
+   dispatches a built event to the writers, and [read_event] inverts
+   it (qcheck pins the roundtrip, adversarial Text bytes included).
+   The field readers and [skip_event] walk the schema instead. *)
 
 let unzigzag z = (z lsr 1) lxor (-(z land 1))
 
@@ -47,11 +29,6 @@ let put_event e (ev : Trace.event) =
       W.supervise e ~tick ~session ~action ~detail
   | Trace.Warm { server_class; enum; index; accepted; detail } ->
       W.warm e ~server_class ~enum ~index ~accepted ~detail
-
-let add_event b ev =
-  let e = W.create 64 in
-  put_event e ev;
-  Buffer.add_subbytes b (W.bytes e) 0 (W.length e)
 
 let event_to_string ev =
   let e = W.create 64 in
@@ -228,54 +205,56 @@ let iter f b len =
     if !cursor > len then raise (Corrupt ("event overruns slice", len))
   with Corrupt (msg, at) -> failwith ("Binary.iter: " ^ describe msg at)
 
-(* The boundary finder mirrors [put_event] tag by tag and allocates
-   nothing: varints are skipped by their continuation bits, strings by
-   their length prefix.  It trusts its input — bytes written by
-   [put_event] — and only [Bytes.get]'s bounds check stands between a
-   corrupt buffer and a wrong offset. *)
+(* Readers at an offset, and the boundary finder that walks the
+   event's schema row with them, allocating nothing.  They trust their
+   input (bytes [put_event] wrote): only [Bytes.get]'s bounds check
+   stands between a corrupt buffer and a wrong offset. *)
 
-let rec skip_varint b p =
-  if Char.code (Bytes.get b p) land 0x80 = 0 then p + 1 else skip_varint b (p + 1)
+let rec varint_end b p =
+  if Char.code (Bytes.get b p) land 0x80 = 0 then p + 1 else varint_end b (p + 1)
 
 let rec uvarint_at b p acc shift =
   let c = Char.code (Bytes.get b p) in
   let acc = acc lor ((c land 0x7f) lsl shift) in
   if c land 0x80 = 0 then acc else uvarint_at b (p + 1) acc (shift + 7)
 
-let skip_string b p =
-  let len = uvarint_at b p 0 0 in
-  skip_varint b p + len
+let varint_at b p = uvarint_at b p 0 0
+let int_at b p = unzigzag (varint_at b p)
+
+let skip_string b p = varint_end b p + varint_at b p
 
 let rec skip_msg b p =
   match Bytes.get b p with
   | '\000' -> p + 1
-  | '\001' | '\002' -> skip_varint b (p + 1)
+  | '\001' | '\002' -> varint_end b (p + 1)
   | '\003' -> skip_string b (p + 1)
   | '\004' -> skip_msg b (skip_msg b (p + 1))
-  | '\005' -> skip_msgs b (skip_varint b (p + 1)) (uvarint_at b (p + 1) 0 0)
+  | '\005' -> skip_msgs b (varint_end b (p + 1)) (varint_at b (p + 1))
   | _ -> invalid_arg "Binary.skip_event: bad message tag"
 
 and skip_msgs b p n = if n = 0 then p else skip_msgs b (skip_msg b p) (n - 1)
 
-let skip_event b p =
+(* Leaves, the common case, without a cursor. *)
+let msg_at b p =
   match Bytes.get b p with
-  | '\000' ->
-      let p = skip_string b (skip_string b (skip_string b (p + 1))) in
-      skip_varint b (skip_varint b (skip_varint b p))
-  | '\001' | '\003' | '\009' -> skip_varint b (p + 1)
-  | '\002' -> skip_msg b (skip_varint b (p + 1) + 2)
-  | '\004' ->
-      let p = skip_string b (skip_varint b (p + 1)) + 1 in
-      skip_varint b (skip_varint b p)
-  | '\005' ->
-      skip_varint b (skip_varint b (skip_varint b (skip_varint b (p + 1))))
-  | '\006' -> skip_varint b (skip_varint b (p + 1))
-  | '\007' -> skip_varint b (skip_varint b (skip_varint b (p + 1)))
-  | '\008' -> skip_string b (skip_string b (skip_varint b (p + 1)))
-  | '\010' -> skip_varint b (p + 1) + 1
-  | '\011' ->
-      skip_string b (skip_string b (skip_varint b (skip_varint b (p + 1))))
-  | '\012' ->
-      let p = skip_string b (skip_string b (p + 1)) in
-      skip_string b (skip_varint b p + 1)
-  | _ -> invalid_arg "Binary.skip_event: unknown event tag"
+  | '\001' -> Msg.Sym (int_at b (p + 1))
+  | '\002' -> Msg.Int (int_at b (p + 1))
+  | _ -> read_msg (Bytes.unsafe_to_string b) (ref p)
+
+let rec skip_fields b p = function
+  | [] -> p
+  | (_, ty) :: rest ->
+      let p =
+        match (ty : W.field_type) with
+        | Int -> varint_end b p
+        | Bool | Party -> p + 1
+        | Str -> skip_string b p
+        | Msg -> skip_msg b p
+      in
+      skip_fields b p rest
+
+let skip_event b p =
+  let tag = Char.code (Bytes.get b p) in
+  if tag >= Array.length W.schema then
+    invalid_arg "Binary.skip_event: unknown event tag";
+  skip_fields b (p + 1) W.schema.(tag).fields

@@ -1,28 +1,20 @@
 (** Compact binary encoding of {!Goalcom.Trace.event} — the wire format
-    of the ring-buffer sink ({!Ring}).  The writers live in
-    {!Goalcom.Trace_wire}, below the event emitters; this module
-    dispatches built events to them ({!put_event}) and holds the
-    decoder.
+    of the ring ({!Ring}) and the session engine's arenas.  The layout,
+    its schema and the writers live in {!Goalcom.Trace_wire}; this
+    module holds the two typed bridges between bytes and events
+    ({!put_event} and the decoder) and the field readers {!Jsonl} and
+    {!Trace_diff} walk the schema with.
 
-    One tag byte per event, then the fields in declaration order:
-    integers as zigzag-mapped LEB128 varints (at most 9 bytes for the
-    63-bit domain), strings as a varint byte length plus raw bytes (no
-    escaping — arbitrary bytes roundtrip exactly), parties and booleans
-    as one byte, and messages as a tagged preorder walk.  A
-    [Round_start] costs 2 bytes and a typical [Emit] 6–8, an order of
+    A [Round_start] costs 2 bytes and a typical [Emit] 6–8, an order of
     magnitude under their JSONL renderings, and encoding performs no
     formatting — which is what makes always-on capture affordable.
 
-    {!decode} inverts {!add_event} exactly (the qcheck suite pins the
+    {!decode} inverts {!put_event} exactly (the qcheck suite pins the
     roundtrip over arbitrary events, adversarial [Text] bytes
-    included), so decoded events feed every existing [Trace.event]
-    consumer — {!Jsonl}, {!Trace_diff}, {!Span}, the golden
-    tests — unchanged.  The format is an in-memory ring layout, not an
-    archival format: it carries no version header; {!Jsonl} remains the
-    interchange format. *)
-
-val add_event : Buffer.t -> Goalcom.Trace.event -> unit
-(** Append one encoded event. *)
+    included), so decoded events feed every [Trace.event] consumer
+    ({!Span}, the golden tests) unchanged.  The format is an in-memory
+    layout, not an archival format: it carries no version header;
+    {!Jsonl}, an export of these bytes, is the interchange format. *)
 
 val event_to_string : Goalcom.Trace.event -> string
 
@@ -47,11 +39,25 @@ val decode_all : ?pos:int -> string -> (Goalcom.Trace.event list, string) result
 (** {1 Reading back trusted buffers}
 
     For bytes {!put_event} or a {!Goalcom.Trace_wire} writer wrote into
-    a cursor, such as the session engine's per-session trace arenas. *)
+    a cursor, such as the session engine's per-session trace arenas.
+    The readers at an offset serve the walks along a schema row
+    ({!Jsonl}, {!Trace_diff}); a bool or a party is the byte itself.
+    @raise Invalid_argument on a read past the end of the buffer. *)
+
+val varint_at : Bytes.t -> int -> int
+val int_at : Bytes.t -> int -> int
+val varint_end : Bytes.t -> int -> int
+(** At offset [p]: the unsigned varint (a string's byte length), the
+    integer field, and the offset just past either. *)
+
+val msg_at : Bytes.t -> int -> Goalcom.Msg.t
+val skip_msg : Bytes.t -> int -> int
+(** The message at [p], and the offset just past it. *)
 
 val skip_event : Bytes.t -> int -> int
 (** [skip_event b p] is the offset just past the event starting at [p]
-    — for well-formed input exactly {!decode}'s consumed offset.  It
+    — for well-formed input exactly {!decode}'s consumed offset, found
+    by walking the tag's {!Goalcom.Trace_wire.schema} row.  It
     allocates nothing.  @raise Invalid_argument on an unknown tag or a
     read past the end of [b]; other corruption goes undetected. *)
 

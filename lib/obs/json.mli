@@ -38,6 +38,8 @@ val add_escaped : Buffer.t -> string -> unit
     backslashes and control characters escaped, other bytes raw — what
     {!parse} reads back byte for byte. *)
 
+val needs_escape : char -> bool
+
 (** {1 Accessors} — shape probes returning [None] on mismatch. *)
 
 val member : string -> t -> t option

@@ -1,348 +1,251 @@
 open Goalcom
+module W = Trace_wire
 
-(* Hand-rolled JSON: the event vocabulary is closed and flat, so a
-   printer per constructor beats a generic tree.  One object per line,
-   the ["ev"] tag first, so the files stream through jq / grep.
-
-   Rendering goes straight into a Buffer — no Printf, no intermediate
-   strings — because the JSONL sink sits on the engine's hot path: the
-   tracing-overhead benchmark showed the original sprintf-based
-   renderer costing ~4.6x an untraced run, almost all of it formatting
-   allocations.  The byte-level format is pinned by the golden traces
-   and by a qcheck test against a sprintf reference. *)
+(* JSONL is an export of the binary wire: a line is one event's
+   Trace_wire bytes, transcoded along its Trace_wire.schema row, the
+   ["ev"] tag first so files stream through jq / grep.  The sinks offer
+   Trace a wire, as the ring does, so typed emitters build no event and
+   a replaying producer pushes arena slices through the same transcode.
+   A line is rendered into a Trace_wire cursor used as a byte buffer
+   and then appended to the sink's Buffer whole: on the engine's hot
+   path, a Buffer append per text cost a C call each, where the cursor
+   copies words.  The goldens and one exact line per event kind in the
+   analytics suite pin the bytes. *)
 
 let add_str b s =
   Buffer.add_char b '"';
   Json.add_escaped b s;
   Buffer.add_char b '"'
 
-(* [string_of_int n]'s digits, written straight into the buffer: every
-   event carries a round number, and formatting it through a fresh
-   string was most of an event's rendering cost. *)
-let rec add_digits b n =
-  if n >= 10 then add_digits b (n / 10);
-  Buffer.add_char b (Char.unsafe_chr (48 + (n mod 10)))
+let ch = W.put_byte
+let text = W.put_text
 
-let add_int b n =
-  if n >= 0 then add_digits b n
-  else if n = min_int then Buffer.add_string b (string_of_int n)
+(* [string_of_int n]'s digits, without the string. *)
+let rec digits o n =
+  if n >= 10 then digits o (n / 10);
+  ch o (Char.unsafe_chr (48 + (n mod 10)))
+
+let int o n =
+  if n >= 0 then digits o n
+  else if n = min_int then text o (string_of_int n)
   else begin
-    Buffer.add_char b '-';
-    add_digits b (-n)
+    ch o '-';
+    digits o (-n)
   end
-
-let add_bool b v = Buffer.add_string b (if v then "true" else "false")
 
 (* The JSON-escaped form of [Msg.to_string msg], composed in one pass:
    messages render to OCaml-literal syntax (printf %S for texts), whose
    escapes then need their backslashes and quotes JSON-escaped.  Both
    layers are over printable ASCII, so the composition per source char
    is still a finite table. *)
-let rec add_msg b (m : Msg.t) =
+let rec msg o (m : Msg.t) =
   match m with
-  | Msg.Silence -> Buffer.add_char b '_'
+  | Msg.Silence -> ch o '_'
   | Msg.Sym s ->
-      Buffer.add_char b '#';
-      add_int b s
-  | Msg.Int n -> add_int b n
+      ch o '#';
+      int o s
+  | Msg.Int n -> int o n
   | Msg.Text s ->
-      Buffer.add_string b "\\\"";
+      text o "\\\"";
       String.iter
         (fun c ->
           match c with
-          | '"' -> Buffer.add_string b "\\\\\\\""
-          | '\\' -> Buffer.add_string b "\\\\\\\\"
-          | '\n' -> Buffer.add_string b "\\\\n"
-          | '\t' -> Buffer.add_string b "\\\\t"
-          | '\r' -> Buffer.add_string b "\\\\r"
-          | '\b' -> Buffer.add_string b "\\\\b"
-          | ' ' .. '~' -> Buffer.add_char b c
-          | c ->
-              Buffer.add_string b "\\\\";
-              Buffer.add_string b (Printf.sprintf "%03d" (Char.code c)))
+          | '"' -> text o "\\\\\\\""
+          | '\\' -> text o "\\\\\\\\"
+          | '\n' -> text o "\\\\n"
+          | '\t' -> text o "\\\\t"
+          | '\r' -> text o "\\\\r"
+          | '\b' -> text o "\\\\b"
+          | ' ' .. '~' -> ch o c
+          | c -> text o (Printf.sprintf "\\\\%03d" (Char.code c)))
         s;
-      Buffer.add_string b "\\\""
+      text o "\\\""
   | Msg.Pair (x, y) ->
-      Buffer.add_char b '(';
-      add_msg b x;
-      Buffer.add_char b ',';
-      add_msg b y;
-      Buffer.add_char b ')'
+      ch o '(';
+      msg o x;
+      ch o ',';
+      msg o y;
+      ch o ')'
   | Msg.Seq ms ->
-      Buffer.add_char b '[';
+      ch o '[';
       List.iteri
         (fun i m ->
-          if i > 0 then Buffer.add_char b ';';
-          add_msg b m)
+          if i > 0 then ch o ';';
+          msg o m)
         ms;
-      Buffer.add_char b ']'
+      ch o ']'
 
-let add_event b (ev : Trace.event) =
-  match ev with
-  | Trace.Run_start { goal; user; server; horizon; drain; world_choice } ->
-      Buffer.add_string b "{\"ev\":\"run_start\",\"goal\":";
-      add_str b goal;
-      Buffer.add_string b ",\"user\":";
-      add_str b user;
-      Buffer.add_string b ",\"server\":";
-      add_str b server;
-      Buffer.add_string b ",\"horizon\":";
-      add_int b horizon;
-      Buffer.add_string b ",\"drain\":";
-      add_int b drain;
-      Buffer.add_string b ",\"world_choice\":";
-      add_int b world_choice;
-      Buffer.add_char b '}'
-  | Trace.Round_start { round } ->
-      Buffer.add_string b "{\"ev\":\"round_start\",\"round\":";
-      add_int b round;
-      Buffer.add_char b '}'
-  | Trace.Emit { round; src; dst; msg } ->
-      Buffer.add_string b "{\"ev\":\"emit\",\"round\":";
-      add_int b round;
-      Buffer.add_string b ",\"src\":\"";
-      Buffer.add_string b (Trace.party_name src);
-      Buffer.add_string b "\",\"dst\":\"";
-      Buffer.add_string b (Trace.party_name dst);
-      Buffer.add_string b "\",\"msg\":\"";
-      add_msg b msg;
-      Buffer.add_string b "\"}"
-  | Trace.Halt { round } ->
-      Buffer.add_string b "{\"ev\":\"halt\",\"round\":";
-      add_int b round;
-      Buffer.add_char b '}'
-  | Trace.Sense { round; sensor; positive; clock; patience } ->
-      Buffer.add_string b "{\"ev\":\"sense\",\"round\":";
-      add_int b round;
-      Buffer.add_string b ",\"sensor\":";
-      add_str b sensor;
-      Buffer.add_string b ",\"positive\":";
-      add_bool b positive;
-      Buffer.add_string b ",\"clock\":";
-      add_int b clock;
-      Buffer.add_string b ",\"patience\":";
-      add_int b patience;
-      Buffer.add_char b '}'
-  | Trace.Switch { round; from_index; to_index; attempt } ->
-      Buffer.add_string b "{\"ev\":\"switch\",\"round\":";
-      add_int b round;
-      Buffer.add_string b ",\"from\":";
-      add_int b from_index;
-      Buffer.add_string b ",\"to\":";
-      add_int b to_index;
-      Buffer.add_string b ",\"attempt\":";
-      add_int b attempt;
-      Buffer.add_char b '}'
-  | Trace.Resume { index; slots } ->
-      Buffer.add_string b "{\"ev\":\"resume\",\"index\":";
-      add_int b index;
-      Buffer.add_string b ",\"slots\":";
-      add_int b slots;
-      Buffer.add_char b '}'
-  | Trace.Session { round; index; budget } ->
-      Buffer.add_string b "{\"ev\":\"session\",\"round\":";
-      add_int b round;
-      Buffer.add_string b ",\"index\":";
-      add_int b index;
-      Buffer.add_string b ",\"budget\":";
-      add_int b budget;
-      Buffer.add_char b '}'
-  | Trace.Fault { round; fault; detail } ->
-      Buffer.add_string b "{\"ev\":\"fault\",\"round\":";
-      add_int b round;
-      Buffer.add_string b ",\"fault\":";
-      add_str b fault;
-      Buffer.add_string b ",\"detail\":";
-      add_str b detail;
-      Buffer.add_char b '}'
-  | Trace.Violation { round } ->
-      Buffer.add_string b "{\"ev\":\"violation\",\"round\":";
-      add_int b round;
-      Buffer.add_char b '}'
-  | Trace.Run_end { rounds; halted } ->
-      Buffer.add_string b "{\"ev\":\"run_end\",\"rounds\":";
-      add_int b rounds;
-      Buffer.add_string b ",\"halted\":";
-      add_bool b halted;
-      Buffer.add_char b '}'
-  | Trace.Supervise { tick; session; action; detail } ->
-      Buffer.add_string b "{\"ev\":\"supervise\",\"tick\":";
-      add_int b tick;
-      Buffer.add_string b ",\"session\":";
-      add_int b session;
-      Buffer.add_string b ",\"action\":";
-      add_str b action;
-      Buffer.add_string b ",\"detail\":";
-      add_str b detail;
-      Buffer.add_char b '}'
-  | Trace.Warm { server_class; enum; index; accepted; detail } ->
-      Buffer.add_string b "{\"ev\":\"warm\",\"class\":";
-      add_str b server_class;
-      Buffer.add_string b ",\"enum\":";
-      add_str b enum;
-      Buffer.add_string b ",\"index\":";
-      add_int b index;
-      Buffer.add_string b ",\"accepted\":";
-      add_bool b accepted;
-      Buffer.add_string b ",\"detail\":";
-      add_str b detail;
-      Buffer.add_char b '}'
+let party_names = Array.map Trace.party_name Trace.[| User; Server; World |]
+
+let rec plain s i stop =
+  i = stop || ((not (Json.needs_escape (Bytes.get s i))) && plain s (i + 1) stop)
+
+(* One field's renderer over trusted wire bytes: its value at [p], then
+   its text (for a party or a boolean, the text indexed by the value's
+   byte), then [k] on the rest of the row. *)
+let renderer (texts, (ty : W.field_type)) k =
+  let t = texts.(0) in
+  match ty with
+  | Party | Bool ->
+      fun o s p ->
+        text o texts.(Char.code (Bytes.get s p));
+        k o s (p + 1)
+  | Int ->
+      fun o s p ->
+        int o (Binary.int_at s p);
+        text o t;
+        k o s (Binary.varint_end s p)
+  | Str ->
+      fun o s p ->
+        let len = Binary.varint_at s p and off = Binary.varint_end s p in
+        if plain s off (off + len) then begin
+          ch o '"';
+          W.put_slice o s off len;
+          ch o '"'
+        end
+        else begin
+          let b = Buffer.create (len + 8) in
+          add_str b (Bytes.sub_string s off len);
+          text o (Buffer.contents b)
+        end;
+        text o t;
+        k o s (off + len)
+  | Msg ->
+      fun o s p ->
+        msg o (Binary.msg_at s p);
+        text o t;
+        k o s (Binary.skip_msg s p)
+
+(* Each schema row as constant text around its values, compiled to one
+   renderer: the text up to the first value, then per field the text
+   after its value up to the next one.  A party or a boolean is one
+   byte naming a word, so its field keeps one text per word, the word
+   included: an [Emit] line is five texts around its round and its
+   message. *)
+let rows =
+  let quote : W.field_type -> string = function Party | Msg -> "\"" | _ -> "" in
+  let key = function (name, ty) :: _ -> ",\"" ^ name ^ "\":" ^ quote ty | [] -> "}" in
+  let rec texts = function
+    | [] -> []
+    | (_, ty) :: rest ->
+        let words =
+          match (ty : W.field_type) with
+          | Party -> party_names
+          | Bool -> [| "false"; "true" |]
+          | Int | Str | Msg -> [| "" |]
+        in
+        (Array.map (fun w -> w ^ quote ty ^ key rest) words, ty) :: texts rest
+  in
+  Array.map
+    (fun (k : W.kind) ->
+      ( "{\"ev\":\"" ^ k.name ^ "\"" ^ key k.fields,
+        List.fold_right renderer (texts k.fields) (fun _ _ p -> p) ))
+    W.schema
+
+(* The event whose bytes start at [p] in [s], as one JSON object
+   appended to [o]. *)
+let add_wire o s p =
+  let prefix, render = rows.(Char.code (Bytes.get s p)) in
+  text o prefix;
+  ignore (render o s (p + 1))
 
 let event_to_json ev =
-  let b = Buffer.create 128 in
-  add_event b ev;
-  Buffer.contents b
+  let o = W.create 128 in
+  add_wire o (Bytes.unsafe_of_string (Binary.event_to_string ev)) 0;
+  Bytes.sub_string (W.bytes o) 0 (W.length o)
 
 let to_lines events = List.map event_to_json events
 
-(* One scratch buffer per sink closure: rendering reuses its storage
-   across events instead of allocating a fresh string per event. *)
-let sink oc =
-  let scratch = Buffer.create 512 in
-  fun ev ->
-    Buffer.clear scratch;
-    add_event scratch ev;
-    Buffer.add_char scratch '\n';
-    Buffer.output_buffer oc scratch
+(* A sink rendering into [out] and its wire: a scratch cursor each
+   commit transcodes and empties, and a push that transcodes a slice in
+   place.  Once [out] holds [limit] bytes, [flush] runs. *)
+let wire_sink out ~limit ~flush =
+  let enc = W.create 256 and o = W.create 256 in
+  let line b off =
+    add_wire o b off;
+    ch o '\n';
+    Buffer.add_subbytes out (W.bytes o) 0 (W.length o);
+    W.truncate o 0;
+    if Buffer.length out >= limit then flush ()
+  in
+  let commit _ =
+    line (W.bytes enc) 0;
+    W.truncate enc 0
+  in
+  let sink ev =
+    Binary.put_event enc ev;
+    commit 0
+  in
+  Trace.offer_encoded sink
+    {
+      push = (fun b off _ -> line b off);
+      retain = max_int;
+      discard = (fun _ -> invalid_arg "Jsonl: no discard, retain is max_int");
+      wire = Write { enc; commit };
+    };
+  sink
 
-let buffer_sink b ev =
-  add_event b ev;
-  Buffer.add_char b '\n'
-
-let write_events oc events =
-  let s = sink oc in
-  List.iter s events
-
-let to_file path events =
-  Goalcom_prelude.File.with_atomic_out path (fun oc -> write_events oc events)
+let buffer_sink b = wire_sink b ~limit:max_int ~flush:ignore
 
 let with_file ?(buffer_bytes = 1 lsl 16) path f =
   Goalcom_prelude.File.with_atomic_out path (fun oc ->
       let b = Buffer.create buffer_bytes in
-      let sink ev =
-        add_event b ev;
-        Buffer.add_char b '\n';
-        if Buffer.length b >= buffer_bytes then begin
-          Buffer.output_buffer oc b;
-          Buffer.clear b
-        end
+      let flush () =
+        Buffer.output_buffer oc b;
+        Buffer.clear b
       in
-      let v = f sink in
+      let v = f (wire_sink b ~limit:buffer_bytes ~flush) in
       Buffer.output_buffer oc b;
       v)
 
-(* Reading traces back.  parse_line inverts add_event exactly — the
-   qcheck roundtrip in the test suite quantifies over arbitrary events
-   — so any --trace file is a dataset. *)
+let to_file path events = with_file path (fun sink -> List.iter sink events)
+
+(* Reading traces back: the inverse of the transcoder, so any --trace
+   file is a dataset. *)
 
 let ( let* ) r f = match r with Ok v -> f v | Error _ as e -> e
 
 let field name conv j =
-  match Json.member name j with
+  match Option.map conv (Json.member name j) with
   | None -> Error (Printf.sprintf "missing field %S" name)
-  | Some v -> begin
-      match conv v with
-      | Some x -> Ok x
-      | None -> Error (Printf.sprintf "field %S has the wrong type" name)
-    end
+  | Some None -> Error (Printf.sprintf "field %S has the wrong type" name)
+  | Some (Some x) -> Ok x
 
-let int_field name = field name Json.int_opt
-let str_field name = field name Json.string_opt
-let bool_field name = field name Json.bool_opt
+(* The JSON object back to wire bytes along its row, then the one
+   typed decoder: fields are checked in wire order, so the first
+   missing or mistyped one is the error. *)
+let put_field e j (name, ty) =
+  let str () = field name Json.string_opt j in
+  match (ty : W.field_type) with
+  | Int -> Result.map (W.put_int e) (field name Json.int_opt j)
+  | Bool -> Result.map (W.put_bool e) (field name Json.bool_opt j)
+  | Str -> Result.map (W.put_string e) (str ())
+  | Party -> (
+      let* s = str () in
+      let parties = Trace.[ User; Server; World ] in
+      match List.find_opt (fun p -> Trace.party_name p = s) parties with
+      | Some p -> Ok (W.put_party e p)
+      | None -> Error (Printf.sprintf "field %S is not a party" name))
+  | Msg -> (
+      let* s = str () in
+      match Msg.of_string s with
+      | Ok m -> Ok (W.put_msg e m)
+      | Error err -> Error (Printf.sprintf "field %S: %s" name err))
 
-let party_of_string = function
-  | "user" -> Some Trace.User
-  | "server" -> Some Trace.Server
-  | "world" -> Some Trace.World
-  | _ -> None
-
-let party_field name j =
-  let* s = str_field name j in
-  match party_of_string s with
-  | Some p -> Ok p
-  | None -> Error (Printf.sprintf "field %S is not a party" name)
-
-let msg_field name j =
-  let* s = str_field name j in
-  match Msg.of_string s with
-  | Ok m -> Ok m
-  | Error e -> Error (Printf.sprintf "field %S: %s" name e)
-
-let event_of_json j : (Trace.event, string) result =
-  let* ev = str_field "ev" j in
-  match ev with
-  | "run_start" ->
-      let* goal = str_field "goal" j in
-      let* user = str_field "user" j in
-      let* server = str_field "server" j in
-      let* horizon = int_field "horizon" j in
-      let* drain = int_field "drain" j in
-      let* world_choice = int_field "world_choice" j in
-      Ok (Trace.Run_start { goal; user; server; horizon; drain; world_choice })
-  | "round_start" ->
-      let* round = int_field "round" j in
-      Ok (Trace.Round_start { round })
-  | "emit" ->
-      let* round = int_field "round" j in
-      let* src = party_field "src" j in
-      let* dst = party_field "dst" j in
-      let* msg = msg_field "msg" j in
-      Ok (Trace.Emit { round; src; dst; msg })
-  | "halt" ->
-      let* round = int_field "round" j in
-      Ok (Trace.Halt { round })
-  | "sense" ->
-      let* round = int_field "round" j in
-      let* sensor = str_field "sensor" j in
-      let* positive = bool_field "positive" j in
-      let* clock = int_field "clock" j in
-      let* patience = int_field "patience" j in
-      Ok (Trace.Sense { round; sensor; positive; clock; patience })
-  | "switch" ->
-      let* round = int_field "round" j in
-      let* from_index = int_field "from" j in
-      let* to_index = int_field "to" j in
-      let* attempt = int_field "attempt" j in
-      Ok (Trace.Switch { round; from_index; to_index; attempt })
-  | "resume" ->
-      let* index = int_field "index" j in
-      let* slots = int_field "slots" j in
-      Ok (Trace.Resume { index; slots })
-  | "session" ->
-      let* round = int_field "round" j in
-      let* index = int_field "index" j in
-      let* budget = int_field "budget" j in
-      Ok (Trace.Session { round; index; budget })
-  | "fault" ->
-      let* round = int_field "round" j in
-      let* fault = str_field "fault" j in
-      let* detail = str_field "detail" j in
-      Ok (Trace.Fault { round; fault; detail })
-  | "violation" ->
-      let* round = int_field "round" j in
-      Ok (Trace.Violation { round })
-  | "run_end" ->
-      let* rounds = int_field "rounds" j in
-      let* halted = bool_field "halted" j in
-      Ok (Trace.Run_end { rounds; halted })
-  | "supervise" ->
-      let* tick = int_field "tick" j in
-      let* session = int_field "session" j in
-      let* action = str_field "action" j in
-      let* detail = str_field "detail" j in
-      Ok (Trace.Supervise { tick; session; action; detail })
-  | "warm" ->
-      let* server_class = str_field "class" j in
-      let* enum = str_field "enum" j in
-      let* index = int_field "index" j in
-      let* accepted = bool_field "accepted" j in
-      let* detail = str_field "detail" j in
-      Ok (Trace.Warm { server_class; enum; index; accepted; detail })
-  | other -> Error (Printf.sprintf "unknown event kind %S" other)
+let tags =
+  Hashtbl.of_seq (Seq.mapi (fun t (k : W.kind) -> (k.name, t)) (Array.to_seq W.schema))
 
 let parse_line line =
   let* j = Json.parse line in
-  event_of_json j
+  let* ev = field "ev" Json.string_opt j in
+  match Hashtbl.find_opt tags ev with
+  | None -> Error (Printf.sprintf "unknown event kind %S" ev)
+  | Some tag ->
+      let e = W.create 64 in
+      W.put_byte e (Char.chr tag);
+      let put acc f = Result.bind acc (fun () -> put_field e j f) in
+      let* () = List.fold_left put (Ok ()) W.schema.(tag).fields in
+      Binary.event_of_string (Bytes.sub_string (W.bytes e) 0 (W.length e))
 
 let of_lines lines =
   let rec go i acc = function

@@ -1,25 +1,20 @@
 (** JSONL serialization of traces, both directions: one JSON object per
     line, tagged ["ev"].
 
-    The writer is hand-rolled (the event vocabulary is closed and flat)
-    and deterministic — field order is fixed, numbers are plain decimal
-    integers, messages are rendered with {!Goalcom.Msg.to_string} and
-    JSON-escaped — so the golden-trace tests can diff files line by
-    line.  Rendering goes straight into a [Buffer.t] (no [Printf]): the
-    sink sits on the engine's hot path and the formatting allocations
-    of a naive printer dominated the measured tracing overhead.
-
-    The reader ({!parse_line}, {!of_file}) inverts the writer exactly:
-    [parse_line (event_to_json e) = Ok e] for every event (qcheck-tested
-    over arbitrary events), so any [--trace] file is a dataset for the
+    JSONL is an export of the binary wire ({!Binary}): a line is one
+    event's bytes transcoded along its {!Goalcom.Trace_wire.schema}
+    row, whose names are the JSON keys, in wire order; integers are
+    plain decimals, messages {!Goalcom.Msg.to_string}'s rendering,
+    JSON-escaped.  The sinks offer Trace a wire, as {!Ring.domain_sink}
+    does, so they never build an event.  The reader writes a line back
+    to wire bytes along the same row and decodes them:
+    [parse_line (event_to_json e) = Ok e] for every event
+    (qcheck-tested), so any [--trace] file is a dataset for the
     analytics layer ({!Span}, {!Profile}, {!Trace_diff}). *)
 
 open Goalcom
 
 (** {1 Writing} *)
-
-val add_event : Buffer.t -> Trace.event -> unit
-(** Append the single-line JSON object (no trailing newline). *)
 
 val event_to_json : Trace.event -> string
 (** A single-line JSON object, no trailing newline. *)
@@ -31,13 +26,11 @@ val add_str : Buffer.t -> string -> unit
 
 val to_lines : Trace.event list -> string list
 
-val sink : out_channel -> Trace.sink
-(** Writes [event_to_json ev ^ "\n"] per event through a reused scratch
-    buffer.  The channel is not flushed or closed; scope it with
-    [Fun.protect].  Each partial application [sink oc] owns one scratch
-    buffer — share the resulting closure, not the partial call. *)
-
 val buffer_sink : Buffer.t -> Trace.sink
+(** A sink appending [event_to_json ev ^ "\n"] per event to the
+    buffer.  Each call makes a new sink and offers its wire on the
+    calling domain ({!Goalcom.Trace.offer_encoded}); install the
+    result, not a wrapper, to keep the fast path. *)
 
 val with_file : ?buffer_bytes:int -> string -> (Trace.sink -> 'a) -> 'a
 (** [with_file path f] hands [f] a sink that renders into a reused
@@ -45,9 +38,8 @@ val with_file : ?buffer_bytes:int -> string -> (Trace.sink -> 'a) -> 'a
     chunks (default 64 KiB); when [f] returns, the tail is written and
     the file renamed over [path] ({!Goalcom_prelude.File.with_atomic_out}).
     If [f] raises, [path] keeps its old contents and no temporary file
-    is left.  This is the fast path the CLI's [--trace FILE] uses. *)
-
-val write_events : out_channel -> Trace.event list -> unit
+    is left.  This is the fast path the CLI's [--trace FILE] uses; the
+    sink offers its wire as {!buffer_sink}'s does. *)
 
 val to_file : string -> Trace.event list -> unit
 (** Write the events to [path] atomically, as {!with_file} does. *)
@@ -60,11 +52,10 @@ val read_lines : string -> string list
 
 val parse_line : string -> (Trace.event, string) result
 (** Parse one JSONL line back into an event.  Exact inverse of
-    {!event_to_json}; unknown ["ev"] tags, missing fields and malformed
-    message literals are reported, not skipped. *)
-
-val of_lines : string list -> (Trace.event list, string) result
-(** First error wins, tagged with its 1-based line number. *)
+    {!event_to_json}; unknown ["ev"] tags, missing or mistyped fields
+    and malformed message literals are reported, not skipped.  Never
+    raises. *)
 
 val of_file : string -> (Trace.event list, string) result
-(** Read and parse a whole trace file; errors carry the path. *)
+(** Read and parse a whole trace file; the first error wins, tagged
+    with the path and its 1-based line number. *)

@@ -43,6 +43,3 @@ let pp_event ppf (ev : Trace.event) =
         (if detail = "" then "" else " [" ^ detail ^ "]")
 
 let sink ppf ev = Format.fprintf ppf "%a@." pp_event ev
-
-let pp_events ppf events =
-  Format.pp_print_list pp_event ppf events

@@ -5,9 +5,5 @@
 
 open Goalcom
 
-val pp_event : Format.formatter -> Trace.event -> unit
-
 val sink : Format.formatter -> Trace.sink
 (** Prints each event on its own line (flushing via ["@."]). *)
-
-val pp_events : Format.formatter -> Trace.event list -> unit

@@ -1,19 +1,10 @@
 open Goalcom
 
-type t = { mutable rev : Trace.event list; mutable n : int }
+type t = Trace.event list ref
 
-let create () = { rev = []; n = 0 }
-
-let sink t ev =
-  t.rev <- ev :: t.rev;
-  t.n <- t.n + 1
-
-let events t = List.rev t.rev
-let length t = t.n
-
-let clear t =
-  t.rev <- [];
-  t.n <- 0
+let create () = ref []
+let sink t ev = t := ev :: !t
+let events t = List.rev !t
 
 let record f =
   let t = create () in

@@ -9,9 +9,6 @@ val sink : t -> Trace.sink
 val events : t -> Trace.event list
 (** Chronological. *)
 
-val length : t -> int
-val clear : t -> unit
-
 val record : (unit -> 'a) -> 'a * Trace.event list
 (** [record f] runs [f] with a fresh recorder installed as the ambient
     sink ({!Trace.with_sink}) and returns its result with the captured

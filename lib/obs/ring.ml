@@ -79,8 +79,6 @@ let create ~capacity =
   in
   { capacity; mutex; shards; slot }
 
-let capacity t = t.capacity
-
 (* Slide the live region [base, cursor) down to 0 and rebase the
    index.  Only called with [base > 0], from [push]. *)
 let compact sh base =

@@ -29,8 +29,6 @@ val create : capacity:int -> t
 (** A ring retaining at most [capacity] events {e per domain} that
     emits into it.  @raise Invalid_argument if [capacity <= 0]. *)
 
-val capacity : t -> int
-
 val sink : t -> Goalcom.Trace.sink
 (** The recording sink: install ambient ([Trace.with_sink]) or pass as
     [?sink].  Resolves the calling domain's shard on every event, so
@@ -51,9 +49,9 @@ val domain_sink : t -> Goalcom.Trace.sink
     the shard exactly as the closure would.  Its [push] stores one event given
     as its {!Binary} encoding, copied verbatim, and leaves the shard
     exactly as the closure would for the decoded event.  Its [retain]
-    is {!capacity}: the shard keeps only the last [capacity] events.
-    Its [discard k] adds [k] to {!evicted} and touches no slot; the
-    caller promises at least [capacity] pushes after it, which evict
+    is the ring's [capacity]: the shard keeps only its last [capacity]
+    events.  Its [discard k] adds [k] to {!evicted} and touches no slot;
+    the caller promises at least [capacity] pushes after it, which evict
     every slot held before, so the shard ends with the same {!slots},
     {!length} and {!evicted} as if the [k] events had been pushed.  A
     producer holding encoded events (the session engine's replay) gets

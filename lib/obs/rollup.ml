@@ -196,8 +196,6 @@ let observe t (ev : Trace.event) =
       supervise t ~tick ~session ~action ~detail
   | _ -> ()
 
-let sink t ev = observe t ev
-
 let merge ~into src =
   Hashtbl.iter
     (fun cls (c : counts) ->

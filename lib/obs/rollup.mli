@@ -65,8 +65,6 @@ val supervise :
 val observe : t -> Goalcom.Trace.event -> unit
 (** Fold a [Trace.Supervise] event; every other event is ignored. *)
 
-val sink : t -> Goalcom.Trace.sink
-
 val merge : into:t -> t -> unit
 (** Add [src]'s counters and histograms into [into] (deterministic;
     see the module preamble). *)

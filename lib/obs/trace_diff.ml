@@ -1,11 +1,11 @@
 open Goalcom
+module W = Trace_wire
 
-(* First-divergence trace diffing, event-kind-aware.  Grown out of the
-   golden-trace test's inline line differ; the test suite and the CLI
-   (`goalcom trace diff`) now share this implementation.  Comparison is
-   on the serialized lines (the byte format is the contract the golden
-   files pin down), with the structural layer explaining *what* changed
-   when both sides still parse. *)
+(* First-divergence trace diffing, event-kind-aware, shared by the test
+   suite and the CLI (`goalcom trace diff`).  Comparison is on the
+   serialized lines (the byte format is the contract the golden files
+   pin down); when both sides parse, a walk of the wire bytes along the
+   schema says *what* changed. *)
 
 type divergence = {
   position : int;  (** 1-based line number of the first difference *)
@@ -14,127 +14,53 @@ type divergence = {
   detail : string;  (** kind-aware explanation of the difference *)
 }
 
-let kind_name (ev : Trace.event) =
-  match ev with
-  | Trace.Run_start _ -> "run_start"
-  | Trace.Round_start _ -> "round_start"
-  | Trace.Emit _ -> "emit"
-  | Trace.Halt _ -> "halt"
-  | Trace.Sense _ -> "sense"
-  | Trace.Switch _ -> "switch"
-  | Trace.Resume _ -> "resume"
-  | Trace.Session _ -> "session"
-  | Trace.Fault _ -> "fault"
-  | Trace.Violation _ -> "violation"
-  | Trace.Run_end _ -> "run_end"
-  | Trace.Supervise _ -> "supervise"
-  | Trace.Warm _ -> "warm"
+(* A line's wire bytes, their kind name, and their fields as (JSONL
+   name, value as text): strings raw, messages as Msg.to_string. *)
+let wire_of_line line = Result.map Binary.event_to_string (Jsonl.parse_line line)
+let kind_of_wire s = W.schema.(Char.code s.[0]).name
+let kind_name ev = kind_of_wire (Binary.event_to_string ev)
+let parties = Trace.[| User; Server; World |]
 
-(* Field-by-field differences between two events of the same kind, as
-   ["field: left vs right"] fragments. *)
-let field_diffs (a : Trace.event) (b : Trace.event) =
-  let istr = string_of_int in
-  let bstr = string_of_bool in
-  let d name fmt x y = if x = y then None else Some (name, fmt x, fmt y) in
-  let candidates =
-    match (a, b) with
-    | Trace.Run_start a, Trace.Run_start b ->
-        [
-          d "goal" Fun.id a.goal b.goal;
-          d "user" Fun.id a.user b.user;
-          d "server" Fun.id a.server b.server;
-          d "horizon" istr a.horizon b.horizon;
-          d "drain" istr a.drain b.drain;
-          d "world_choice" istr a.world_choice b.world_choice;
-        ]
-    | Trace.Round_start a, Trace.Round_start b ->
-        [ d "round" istr a.round b.round ]
-    | Trace.Emit a, Trace.Emit b ->
-        [
-          d "round" istr a.round b.round;
-          d "src" Trace.party_name a.src b.src;
-          d "dst" Trace.party_name a.dst b.dst;
-          d "msg" Msg.to_string a.msg b.msg;
-        ]
-    | Trace.Halt a, Trace.Halt b -> [ d "round" istr a.round b.round ]
-    | Trace.Sense a, Trace.Sense b ->
-        [
-          d "round" istr a.round b.round;
-          d "sensor" Fun.id a.sensor b.sensor;
-          d "positive" bstr a.positive b.positive;
-          d "clock" istr a.clock b.clock;
-          d "patience" istr a.patience b.patience;
-        ]
-    | Trace.Switch a, Trace.Switch b ->
-        [
-          d "round" istr a.round b.round;
-          d "from" istr a.from_index b.from_index;
-          d "to" istr a.to_index b.to_index;
-          d "attempt" istr a.attempt b.attempt;
-        ]
-    | Trace.Resume a, Trace.Resume b ->
-        [ d "index" istr a.index b.index; d "slots" istr a.slots b.slots ]
-    | Trace.Session a, Trace.Session b ->
-        [
-          d "round" istr a.round b.round;
-          d "index" istr a.index b.index;
-          d "budget" istr a.budget b.budget;
-        ]
-    | Trace.Fault a, Trace.Fault b ->
-        [
-          d "round" istr a.round b.round;
-          d "fault" Fun.id a.fault b.fault;
-          d "detail" Fun.id a.detail b.detail;
-        ]
-    | Trace.Violation a, Trace.Violation b ->
-        [ d "round" istr a.round b.round ]
-    | Trace.Run_end a, Trace.Run_end b ->
-        [
-          d "rounds" istr a.rounds b.rounds;
-          d "halted" bstr a.halted b.halted;
-        ]
-    | Trace.Supervise a, Trace.Supervise b ->
-        [
-          d "tick" istr a.tick b.tick;
-          d "session" istr a.session b.session;
-          d "action" Fun.id a.action b.action;
-          d "detail" Fun.id a.detail b.detail;
-        ]
-    | Trace.Warm a, Trace.Warm b ->
-        [
-          d "class" Fun.id a.server_class b.server_class;
-          d "enum" Fun.id a.enum b.enum;
-          d "index" istr a.index b.index;
-          d "accepted" bstr a.accepted b.accepted;
-          d "detail" Fun.id a.detail b.detail;
-        ]
-    | _ -> []
+let fields s =
+  let b = Bytes.unsafe_of_string s in
+  let rec walk p = function
+    | [] -> []
+    | (name, (ty : W.field_type)) :: rest ->
+        let text, q =
+          match ty with
+          | Int -> (string_of_int (Binary.int_at b p), Binary.varint_end b p)
+          | Bool -> (string_of_bool (s.[p] = '\001'), p + 1)
+          | Party -> (Trace.party_name parties.(Char.code s.[p]), p + 1)
+          | Str ->
+              let q = Binary.varint_end b p in
+              (String.sub s q (Binary.varint_at b p), q + Binary.varint_at b p)
+          | Msg -> (Msg.to_string (Binary.msg_at b p), Binary.skip_msg b p)
+        in
+        (name, text) :: walk q rest
   in
-  List.filter_map Fun.id candidates
+  walk 1 W.schema.(Char.code s.[0]).fields
 
 let describe_pair left right =
-  match (Jsonl.parse_line left, Jsonl.parse_line right) with
+  match (wire_of_line left, wire_of_line right) with
   | Ok a, Ok b ->
-      let ka = kind_name a and kb = kind_name b in
+      let ka = kind_of_wire a and kb = kind_of_wire b in
       if ka <> kb then Printf.sprintf "event kinds differ: %s vs %s" ka kb
       else begin
-        match field_diffs a b with
+        let differ (f, x) (_, y) =
+          if x = y then [] else [ Printf.sprintf "%s %s vs %s" f x y ]
+        in
+        match List.concat (List.map2 differ (fields a) (fields b)) with
         | [] -> Printf.sprintf "%s events differ in serialization only" ka
-        | ds ->
-            Printf.sprintf "%s events differ: %s" ka
-              (String.concat ", "
-                 (List.map
-                    (fun (f, x, y) -> Printf.sprintf "%s %s vs %s" f x y)
-                    ds))
+        | ds -> Printf.sprintf "%s events differ: %s" ka (String.concat ", " ds)
       end
   | Error e, _ -> Printf.sprintf "left line does not parse: %s" e
   | _, Error e -> Printf.sprintf "right line does not parse: %s" e
 
 let describe_tail ~ended ~continues line =
-  match Jsonl.parse_line line with
-  | Ok ev ->
+  match wire_of_line line with
+  | Ok s ->
       Printf.sprintf "%s ends here; %s continues with a %s event" ended
-        continues (kind_name ev)
+        continues (kind_of_wire s)
   | Error _ ->
       Printf.sprintf "%s ends here; %s continues" ended continues
 

@@ -25,13 +25,6 @@ val events :
 (** Compare via {!Jsonl.to_lines} — two event lists diverge iff their
     serializations do. *)
 
-val pp :
-  ?left_label:string ->
-  ?right_label:string ->
-  Format.formatter ->
-  divergence ->
-  unit
+val to_string : ?left_label:string -> ?right_label:string -> divergence -> string
 (** Multi-line rendering; labels default to ["left"]/["right"] (the
     golden test passes ["golden"]/["actual"]). *)
-
-val to_string : ?left_label:string -> ?right_label:string -> divergence -> string

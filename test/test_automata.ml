@@ -1,31 +1,9 @@
-(* Unit tests for the automata substrate: alphabets, enumerations,
+(* Unit tests for the automata substrate: enumerations,
    Mealy machines and their Gödel coding, dialects, probabilistic
    machines. *)
 
 open Goalcom_prelude
 open Goalcom_automata
-
-(* Alphabet *)
-
-let test_alphabet_basic () =
-  let a = Alphabet.make [ "print"; "clear"; "nop" ] in
-  Alcotest.(check int) "size" 3 (Alphabet.size a);
-  Alcotest.(check string) "name" "clear" (Alphabet.name a 1);
-  Alcotest.(check (option int)) "index" (Some 2) (Alphabet.index a "nop");
-  Alcotest.(check (option int)) "missing" None (Alphabet.index a "x");
-  Alcotest.(check (list int)) "symbols" [ 0; 1; 2 ] (Alphabet.symbols a);
-  Alcotest.(check bool) "mem" true (Alphabet.mem a 0);
-  Alcotest.(check bool) "not mem" false (Alphabet.mem a 3)
-
-let test_alphabet_validation () =
-  Alcotest.check_raises "dup" (Invalid_argument "Alphabet.make: duplicate names")
-    (fun () -> ignore (Alphabet.make [ "a"; "a" ]));
-  Alcotest.check_raises "empty" (Invalid_argument "Alphabet.make: empty")
-    (fun () -> ignore (Alphabet.make []))
-
-let test_alphabet_of_size () =
-  let a = Alphabet.of_size 2 in
-  Alcotest.(check string) "auto name" "s1" (Alphabet.name a 1)
 
 (* Enum *)
 
@@ -271,12 +249,6 @@ let test_prob_mealy_validation () =
 let () =
   Alcotest.run "automata"
     [
-      ( "alphabet",
-        [
-          Alcotest.test_case "basic" `Quick test_alphabet_basic;
-          Alcotest.test_case "validation" `Quick test_alphabet_validation;
-          Alcotest.test_case "of_size" `Quick test_alphabet_of_size;
-        ] );
       ( "enum",
         [
           Alcotest.test_case "of_list" `Quick test_enum_of_list;

@@ -135,7 +135,7 @@ let prop_binary_stream_roundtrip =
     QCheck.(make QCheck.Gen.(list_size (0 -- 20) event_gen))
     (fun evs ->
       let b = Buffer.create 256 in
-      List.iter (Binary.add_event b) evs;
+      List.iter (fun ev -> Buffer.add_string b (Binary.event_to_string ev)) evs;
       match Binary.decode_all (Buffer.contents b) with
       | Ok evs' -> evs' = evs
       | Error e -> QCheck.Test.fail_report ("decode_all failed: " ^ e))
@@ -280,10 +280,11 @@ let arena_offer commit =
   (enc, offer_of (Trace.Write { enc; commit }))
 
 (* Typed emission writes exactly the bytes [Binary] encodes for the
-   built event, through each of the three targets: a session-style
+   built event, through each of the four targets: a session-style
    arena (one commit, at the offset the event starts), the ring's own
-   [domain_sink] (one slot holding exactly those bytes), and a plain
-   sink (the built event itself). *)
+   [domain_sink] (one slot holding exactly those bytes), the JSONL
+   sink's wire (the event's line), and a plain sink (the built event
+   itself). *)
 let prop_typed_emit_is_encode =
   QCheck.Test.make ~count:(qcount * 2)
     ~name:"typed emit bytes = Binary.encode of the built event"
@@ -306,6 +307,9 @@ let prop_typed_emit_is_encode =
       let r = Ring.create ~capacity:4 in
       Trace.with_sink (Ring.domain_sink r) (fun () ->
           emit_typed (Trace.handle ()) ev);
+      let jsonl = Buffer.create 64 in
+      Trace.with_sink (Jsonl.buffer_sink jsonl) (fun () ->
+          emit_typed (Trace.handle ()) ev);
       let built = ref [] in
       Trace.with_sink (fun e -> built := e :: !built) (fun () ->
           emit_typed (Trace.handle ()) ev);
@@ -317,6 +321,8 @@ let prop_typed_emit_is_encode =
           prefix
       else if Ring.slots r <> [ expect ] then
         QCheck.Test.fail_report "ring slot differs from the encoding"
+      else if Buffer.contents jsonl <> Jsonl.event_to_json ev ^ "\n" then
+        QCheck.Test.fail_reportf "jsonl wire line %S" (Buffer.contents jsonl)
       else !built = [ ev ])
 
 (* A [Count] wire neither builds nor encodes: the counter runs once per
@@ -338,6 +344,23 @@ let minor_words f =
   f ();
   let w2 = Gc.minor_words () in
   (w2 -. w1) -. (w1 -. w0)
+
+(* The engine's replay walks every kept arena with [skip_event]: the
+   schema walk must allocate nothing, whatever the event kinds. *)
+let rec skip_all b len p =
+  if p < len then skip_all b len (Binary.skip_event b p) else p
+
+let test_skip_event_allocates_nothing () =
+  let evs =
+    QCheck.Gen.generate ~rand:(Random.State.make [| 11 |]) ~n:500 signed_event_gen
+  in
+  let e = Trace_wire.create 16 in
+  List.iter (Binary.put_event e) evs;
+  let b = Trace_wire.bytes e and len = Trace_wire.length e in
+  let stop = ref 0 in
+  let words = minor_words (fun () -> stop := skip_all b len 0) in
+  Alcotest.(check int) "walked the whole arena" len !stop;
+  Alcotest.(check (float 0.)) "minor words" 0. words
 
 (* One traced round's events, written [n] times through the typed
    emitters: arguments are constants, so any word allocated is the
@@ -794,6 +817,8 @@ let suite =
     Alcotest.test_case "binary rejects garbage" `Quick
       test_binary_rejects_garbage;
     QCheck_alcotest.to_alcotest prop_binary_skip_matches_decode;
+    Alcotest.test_case "skip_event allocates nothing" `Quick
+      test_skip_event_allocates_nothing;
     QCheck_alcotest.to_alcotest prop_binary_decode_never_raises;
     Alcotest.test_case "binary huge string length" `Quick
       test_binary_huge_length_is_error;

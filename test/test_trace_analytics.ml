@@ -102,13 +102,26 @@ let prop_jsonl_roundtrip =
       | Ok e' -> e' = e
       | Error msg -> QCheck.Test.fail_report msg)
 
-(* The byte format itself is pinned by the goldens; spot-pin the
-   adversarial corners here so a renderer change cannot hide behind a
-   golden regeneration. *)
+(* The byte format itself is pinned by the goldens; pin one line per
+   event kind here too, with the adversarial corners (both ends of the
+   int range, negatives, quotes, backslashes, control and high bytes,
+   nested messages), so a renderer change cannot hide behind a golden
+   regeneration. *)
 let exact_bytes () =
   let check expected ev =
     Alcotest.(check string) expected expected (Obs.Jsonl.event_to_json ev)
   in
+  check
+    {|{"ev":"run_start","goal":"g\"x","user":"u\\v","server":"s\tt","horizon":4611686018427387903,"drain":0,"world_choice":-1}|}
+    (Trace.Run_start
+       {
+         goal = "g\"x";
+         user = "u\\v";
+         server = "s\tt";
+         horizon = max_int;
+         drain = 0;
+         world_choice = -1;
+       });
   check {|{"ev":"round_start","round":7}|} (Trace.Round_start { round = 7 });
   check
     {|{"ev":"emit","round":1,"src":"user","dst":"server","msg":"\"a\\\"b\\\\c\\nd\""}|}
@@ -119,8 +132,57 @@ let exact_bytes () =
          dst = Trace.Server;
          msg = Msg.Text "a\"b\\c\nd";
        });
+  check
+    {|{"ev":"emit","round":-4611686018427387904,"src":"world","dst":"user","msg":"([#3;-4;_],(\"q\\\"\\\\\\001\\255\\n\",[]))"}|}
+    (Trace.Emit
+       {
+         round = min_int;
+         src = Trace.World;
+         dst = Trace.User;
+         msg =
+           Msg.Pair
+             ( Msg.Seq [ Msg.Sym 3; Msg.Int (-4); Msg.Silence ],
+               Msg.Pair (Msg.Text "q\"\\\001\255\n", Msg.Seq []) );
+       });
+  check {|{"ev":"halt","round":4611686018427387903}|}
+    (Trace.Halt { round = max_int });
+  check
+    {|{"ev":"sense","round":3,"sensor":"grace\u0002","positive":false,"clock":-5,"patience":-4611686018427387904}|}
+    (Trace.Sense
+       {
+         round = 3;
+         sensor = "grace\002";
+         positive = false;
+         clock = -5;
+         patience = min_int;
+       });
+  check {|{"ev":"switch","round":12,"from":2,"to":3,"attempt":-1}|}
+    (Trace.Switch { round = 12; from_index = 2; to_index = 3; attempt = -1 });
   check {|{"ev":"resume","index":0,"slots":7}|}
-    (Trace.Resume { index = 0; slots = 7 })
+    (Trace.Resume { index = 0; slots = 7 });
+  check {|{"ev":"session","round":1,"index":-2,"budget":64}|}
+    (Trace.Session { round = 1; index = -2; budget = 64 });
+  check
+    ({|{"ev":"fault","round":4,"fault":"corrupt","detail":"a\"b\\c\n\u0001|}
+    ^ "\255\"}")
+    (Trace.Fault
+       { round = 4; fault = "corrupt"; detail = "a\"b\\c\n\001\255" });
+  check {|{"ev":"violation","round":-1}|} (Trace.Violation { round = -1 });
+  check {|{"ev":"run_end","rounds":0,"halted":true}|}
+    (Trace.Run_end { rounds = 0; halted = true });
+  check
+    {|{"ev":"supervise","tick":9,"session":3,"action":"restart","detail":""}|}
+    (Trace.Supervise { tick = 9; session = 3; action = "restart"; detail = "" });
+  check
+    {|{"ev":"warm","class":"printing","enum":"dialects","index":-1,"accepted":false,"detail":"stale \"7\"\\"}|}
+    (Trace.Warm
+       {
+         server_class = "printing";
+         enum = "dialects";
+         index = -1;
+         accepted = false;
+         detail = "stale \"7\"\\";
+       })
 
 (* The writers replace a trace file whole: a callback that raises
    mid-write leaves the previous file as it was and no temporary file
@@ -167,6 +229,62 @@ let golden_roundtrip (c : Trace_cases.case) () =
         "re-serialization is byte-identical"
         (Obs.Jsonl.read_lines path)
         (Obs.Jsonl.to_lines events)
+
+(* Fuzz the reader from the committed goldens' own lines (mutated,
+   spliced, or raw noise): [parse_line] answers [Ok] or [Error] and
+   never raises, and a line that parses re-renders to a line that
+   parses back to the same event. *)
+let golden_lines =
+  lazy
+    (Sys.readdir "golden" |> Array.to_list
+    |> List.filter (fun f -> Filename.check_suffix f ".jsonl")
+    |> List.concat_map (fun f -> Obs.Jsonl.read_lines (Filename.concat "golden" f))
+    |> List.sort_uniq compare)
+
+let parses_cleanly line =
+  match Obs.Jsonl.parse_line line with
+  | Error _ -> true
+  | Ok ev -> Obs.Jsonl.parse_line (Obs.Jsonl.event_to_json ev) = Ok ev
+  | exception e -> QCheck.Test.fail_reportf "raised %s" (Printexc.to_string e)
+
+let prop_jsonl_fuzz =
+  QCheck.Test.make ~count:(qcount * 4)
+    ~name:"Jsonl.parse_line: fuzzed lines fail cleanly"
+    (QCheck.make ~print:String.escaped
+       (Helpers.spec_fuzz_gen ~valid:(Lazy.force golden_lines)))
+    parses_cleanly
+
+(* The same through [of_file]: a file of fuzzed lines, plus a message
+   nested a million deep and a million unclosed brackets. *)
+let jsonl_fuzz_file () =
+  let deep = 1_000_000 in
+  let emit msg =
+    {|{"ev":"emit","round":1,"src":"user","dst":"server","msg":"|} ^ msg ^ {|"}|}
+  in
+  let deep_lines =
+    [
+      emit
+        (String.concat "" (List.init deep (fun _ -> "(#1,"))
+        ^ "_" ^ String.make deep ')');
+      emit (String.make deep '[');
+    ]
+  in
+  List.iter
+    (fun l -> Alcotest.(check bool) "deep line" true (parses_cleanly l))
+    deep_lines;
+  let lines =
+    deep_lines
+    @ QCheck.Gen.generate ~rand:(Random.State.make [| 27 |]) ~n:500
+        (Helpers.spec_fuzz_gen ~valid:(Lazy.force golden_lines))
+  in
+  let path = Filename.temp_file "jsonl_fuzz" ".jsonl" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Goalcom_prelude.File.write_atomic path (String.concat "\n" lines);
+      match Obs.Jsonl.of_file path with
+      | Ok _ | Error _ -> ()
+      | exception e -> Alcotest.failf "of_file raised %s" (Printexc.to_string e))
 
 (* Attribution: every Round_start is charged to exactly one span, so
    per-candidate rounds sum to the run totals — pinned on the goldens
@@ -513,6 +631,8 @@ let () =
         :: [
              Alcotest.test_case "exact bytes" `Quick exact_bytes;
              Alcotest.test_case "writers are atomic" `Quick writers_atomic;
+             QCheck_alcotest.to_alcotest prop_jsonl_fuzz;
+             Alcotest.test_case "fuzzed file" `Quick jsonl_fuzz_file;
            ] );
       ("golden-roundtrip", golden_cases golden_roundtrip);
       ( "attribution",
