@@ -18,8 +18,9 @@ check: build test
 # Mirror of .github/workflows/ci.yml: build, test, trace smoke +
 # analytics, parallel smoke, chaos smoke, live-stats smoke, golden
 # drift, bench gate, serving-benchmark smoke (with the long_horizon
-# 32 MB and open_ring 100 MB peak-heap guards, the storm 120-word and
-# the open_ring 80-word allocation guards).  Run before pushing.
+# 32 MB and open_ring 100 MB peak-heap guards, the long_horizon 25-word,
+# storm 120-word and open_ring 80-word allocation guards).  Run before
+# pushing.
 ci: check
 	dune exec bin/main.exe -- run e17 --jobs 2
 	GOALCOM_E19_TRIALS=10 dune exec bin/main.exe -- run e19 --jobs 2
@@ -52,6 +53,7 @@ ci: check
 	  echo "$$line" | grep -q '"correct": true' || exit 1; \
 	  if [ $$w = long_horizon ]; then \
 	    echo "$$line" | python3 -c 'import json, sys; mb = json.load(sys.stdin)["metrics"]["peak_heap_mb"]["value"]; print(f"long_horizon peak_heap_mb {mb:.2f} (limit 32)"); sys.exit(mb > 32)' || exit 1; \
+	    echo "$$line" | python3 -c 'import json, sys; w = json.load(sys.stdin)["metrics"]["alloc_words_per_round"]["value"]; print(f"long_horizon alloc_words_per_round {w:.1f} (limit 25)"); sys.exit(w > 25)' || exit 1; \
 	  fi; \
 	  if [ $$w = storm ]; then \
 	    echo "$$line" | python3 -c 'import json, sys; w = json.load(sys.stdin)["metrics"]["alloc_words_per_round"]["value"]; print(f"storm alloc_words_per_round {w:.1f} (limit 120)"); sys.exit(w > 120)' || exit 1; \

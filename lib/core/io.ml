@@ -6,6 +6,8 @@ module User = struct
   let halt_act = { silent with halt = true }
   let say_server m = { silent with to_server = m }
   let say_world m = { silent with to_world = m }
+  let no_obs = { from_server = Msg.Silence; from_world = Msg.Silence; round = 0 }
+  let unhalted act = if act.halt then { act with halt = false } else act
 end
 
 module Server = struct

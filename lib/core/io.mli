@@ -27,6 +27,14 @@ module User : sig
 
   val say_server : Msg.t -> act
   val say_world : Msg.t -> act
+
+  val no_obs : obs
+  (** Silence from both parties at round 0: a placeholder for a round
+      not yet observed. *)
+
+  val unhalted : act -> act
+  (** The act with its halt request cleared; the act itself when it
+      makes none. *)
 end
 
 module Server : sig

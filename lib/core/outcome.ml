@@ -58,7 +58,7 @@ module Live = struct
      view ([view] tracks the latest view until [found]). *)
   type t = {
     finite : bool;
-    mutable judge : Referee.judge;
+    judge : Referee.judge;
     mutable verdict : Referee.verdict;
     mutable violations : int;
     mutable last_violation : int;  (* 0 = none *)
@@ -83,8 +83,7 @@ module Live = struct
     }
 
   let step t ~round v =
-    let judge, verdict = Referee.step t.judge v in
-    t.judge <- judge;
+    let verdict = Referee.advance t.judge v in
     t.verdict <- verdict;
     if not t.found then begin
       t.view <- v;

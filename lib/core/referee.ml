@@ -76,7 +76,7 @@ let spawn_of_repr = function
               (views, verdict_of_bool (decide (List.rev views))));
         }
 
-(* [step] updates the judge in place and returns it. *)
+(* [advance] updates the judge in place. *)
 type judge =
   | Judge : { mutable s : 's; step : 's -> Msg.t -> 's * verdict } -> judge
 
@@ -86,23 +86,20 @@ let start t v0 =
       let s, verdict = init v0 in
       (Judge { s; step }, verdict)
 
-let step j v =
-  match j with
-  | Judge r ->
-      let s, verdict = r.step r.s v in
-      r.s <- s;
-      (j, verdict)
+let advance (Judge r) v =
+  let s, verdict = r.step r.s v in
+  r.s <- s;
+  verdict
+
+let step j v = (j, advance j v)
 
 (* One fold over the rounds: prime with the initial world view, absorb
    one world view per round, keep the last verdict. *)
 let final_verdict t history =
   let j, verdict = start t (History.initial_world_view history) in
-  let _, verdict =
-    History.fold_rounds history
-      ~f:(fun (j, _) (r : History.Round.t) -> step j r.world_view)
-      ~init:(j, verdict)
-  in
-  verdict
+  History.fold_rounds history
+    ~f:(fun _ (r : History.Round.t) -> advance j r.world_view)
+    ~init:verdict
 
 let decide_finite t history =
   if not t.finite_ then invalid_arg "Referee.decide_finite: compact referee";
@@ -136,14 +133,11 @@ let violations t history =
     (* Single O(n) fold: the init verdict (empty prefix) is discarded,
        each round's verdict judges the prefix ending there. *)
     let j, _ = start t (History.initial_world_view history) in
-    let _, acc =
-      History.fold_rounds history
-        ~f:(fun (j, acc) (r : History.Round.t) ->
-          let j, verdict = step j r.world_view in
-          (j, if verdict = `Violation then r.index :: acc else acc))
-        ~init:(j, [])
-    in
-    List.rev acc
+    History.fold_rounds history
+      ~f:(fun acc (r : History.Round.t) ->
+        if advance j r.world_view = `Violation then r.index :: acc else acc)
+      ~init:[]
+    |> List.rev
   end
 
 (* Quadratic reference: judge every prefix from scratch.  For the

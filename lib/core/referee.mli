@@ -91,6 +91,11 @@ val step : judge -> Msg.t -> judge * verdict
     list-predicate adapters it costs one predicate call (finite
     adapters re-decide the whole accumulated prefix). *)
 
+val advance : judge -> Msg.t -> verdict
+(** [step] without the pair: absorbs the view into the judge in place
+    and returns only the verdict, so a round allocates nothing beyond
+    what the referee's own step does. *)
+
 (** {2 Whole-history judgements} *)
 
 val decide_finite : t -> History.t -> bool

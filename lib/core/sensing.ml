@@ -271,6 +271,15 @@ let corrupt_unviable t =
           });
   }
 
+(* Updated in place: one record per instance, built by [init]. *)
+type 'inst halting = {
+  h_inst : 'inst;
+  h_sense : state;
+  mutable h_pending : bool;  (* a round awaits sensing: the two below *)
+  mutable h_obs : Io.User.obs;
+  mutable h_act : Io.User.act;
+}
+
 (* A user that runs [inner] but halts as soon as sensing turns positive.
    Sensing state is fed exactly the events {!View.of_history} would
    build: the event for round r pairs the round-r sends with the
@@ -280,29 +289,29 @@ let corrupt_unviable t =
    of the live instance is always current. *)
 let halt_on_positive sensing inner =
   let module I = Strategy.Instance in
-  Strategy.make
+  Strategy.make_inplace
     ~name:(Printf.sprintf "halt-on-%s(%s)" sensing.name (Strategy.name inner))
-    ~init:(fun () -> (I.create inner, start sensing, None))
-    ~step:(fun rng (inst, st, pending) (obs : Io.User.obs) ->
-      let st =
-        match pending with
-        | None -> st
-        | Some (prev_obs, (prev_act : Io.User.act)) ->
-            observe st
-              {
-                View.round = prev_obs.Io.User.round;
-                from_server = prev_obs.Io.User.from_server;
-                from_world = prev_obs.Io.User.from_world;
-                to_server = prev_act.to_server;
-                to_world = prev_act.to_world;
-                halted = false;
-              }
-      in
-      match verdict st with
-      | Positive -> ((inst, st, None), Io.User.halt_act)
+    ~init:(fun () ->
+      {
+        h_inst = I.create inner;
+        h_sense = start sensing;
+        h_pending = false;
+        h_obs = Io.User.no_obs;
+        h_act = Io.User.silent;
+      })
+    ~step:(fun rng h (obs : Io.User.obs) ->
+      if h.h_pending then
+        ignore (observe h.h_sense (View.of_round h.h_obs h.h_act));
+      match verdict h.h_sense with
+      | Positive ->
+          h.h_pending <- false;
+          Io.User.halt_act
       | Negative ->
-          let act = { (I.step rng inst obs) with Io.User.halt = false } in
-          ((inst, st, Some (obs, act)), act))
+          let act = Io.User.unhalted (I.step rng h.h_inst obs) in
+          h.h_pending <- true;
+          h.h_obs <- obs;
+          h.h_act <- act;
+          act)
 
 type report = {
   property : string;

@@ -10,7 +10,12 @@
     [init] is a thunk so that strategies are {e restartable}: every
     execution (and every switch of the universal user) instantiates a
     fresh state, even for strategies whose states contain mutable
-    structures. *)
+    structures.
+
+    A step updates the state [init] built in place and returns only the
+    act, so a round allocates no [(state, act)] pair.  [make] adapts a
+    functional step, one that returns its next state with its act, by
+    keeping the state in a ref. *)
 
 type ('obs, 'act) t
 
@@ -19,6 +24,18 @@ val make :
   init:(unit -> 'state) ->
   step:(Goalcom_prelude.Rng.t -> 'state -> 'obs -> 'state * 'act) ->
   ('obs, 'act) t
+
+val make_inplace :
+  name:string ->
+  init:(unit -> 'state) ->
+  step:(Goalcom_prelude.Rng.t -> 'state -> 'obs -> 'act) ->
+  ('obs, 'act) t
+(** A strategy whose [step] updates the state in place and returns the
+    act.  [init] must build a fresh state per call: instances never
+    share one, and strategy values are shared across domains.  The act
+    may be a preallocated constant.  Observations are immutable and a
+    caller never reuses one for a later round, so [step] may keep its
+    ['obs] argument (see DESIGN.md, "The round frame"). *)
 
 val name : ('obs, 'act) t -> string
 

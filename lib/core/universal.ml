@@ -59,29 +59,6 @@ let memo_get m i =
       m.m_cache.(key) <- Some s;
       s
 
-(* The view event a pending (obs, act) round contributes — exactly what
-   {!View.of_history} would build: the event for round r pairs the
-   round-r sends with the observations the user acted on in round r.
-   Sensing absorbs the completed rounds one event at a time. *)
-let pending_event (obs : Io.User.obs) (act : Io.User.act) =
-  {
-    View.round = obs.Io.User.round;
-    from_server = obs.Io.User.from_server;
-    from_world = obs.Io.User.from_world;
-    to_server = act.Io.User.to_server;
-    to_world = act.Io.User.to_world;
-    halted = false;
-  }
-
-(* Placeholder for the pending round of a state that has none yet. *)
-let no_obs =
-  { Io.User.from_server = Msg.Silence; from_world = Msg.Silence; round = 0 }
-
-(* The candidate's act with its halt request suppressed (sensing
-   decides when to halt), copied only when there is one to clear. *)
-let unhalted (act : Io.User.act) =
-  if act.Io.User.halt then { act with Io.User.halt = false } else act
-
 (* Updated in place: one record per instance, built by [init]. *)
 type ('strat, 'inst) compact_state = {
   c_memo : 'strat memo;
@@ -143,7 +120,7 @@ let compact ?(grace = 1) ?(growth = `Doubling) ?(retries = 0) ?wedge_after
     base * (1 lsl min attempt 20)
   in
   let module I = Strategy.Instance in
-  Strategy.make
+  Strategy.make_inplace
     ~name:(Printf.sprintf "universal-compact(%s;%s)" (Enum.name enum) sensing.Sensing.name)
     ~init:(fun () ->
       Option.iter reset_stats stats;
@@ -160,7 +137,7 @@ let compact ?(grace = 1) ?(growth = `Doubling) ?(retries = 0) ?wedge_after
         c_inst = I.create (memo_get memo start);
         c_sense = Sensing.start sensing;
         c_pending = false;
-        c_obs = no_obs;
+        c_obs = Io.User.no_obs;
         c_act = Io.User.silent;
         c_rounds_in = 0;
         c_attempt = 0;
@@ -170,7 +147,7 @@ let compact ?(grace = 1) ?(growth = `Doubling) ?(retries = 0) ?wedge_after
     ~step:(fun rng state (obs : Io.User.obs) ->
       if state.c_pending then
         ignore
-          (Sensing.observe state.c_sense (pending_event state.c_obs state.c_act));
+          (Sensing.observe state.c_sense (View.of_round state.c_obs state.c_act));
       let verdict =
         if not state.c_pending then Sensing.Positive (* nothing to judge yet *)
         else Sensing.verdict state.c_sense
@@ -229,12 +206,12 @@ let compact ?(grace = 1) ?(growth = `Doubling) ?(retries = 0) ?wedge_after
         state.c_rounds_in <- 0;
         state.c_stall <- 0
       end;
-      let act = unhalted (I.step rng state.c_inst obs) in
+      let act = Io.User.unhalted (I.step rng state.c_inst obs) in
       state.c_pending <- true;
       state.c_obs <- obs;
       state.c_act <- act;
       state.c_rounds_in <- state.c_rounds_in + 1;
-      (state, act))
+      act)
 
 (* ---- The multicore Levin racer ---------------------------------- *)
 
@@ -306,13 +283,12 @@ let finite_par ?schedule ?(max_slots = 64) ?jobs ?pool ?config ~enum ~sensing
          a cancelled probe halts at its next step so its domain frees up
          for uncancelled work. *)
       let user =
-        Strategy.make
+        Strategy.make_inplace
           ~name:(Printf.sprintf "race-probe(%d@%d)" slot.Levin.index i)
           ~init:(fun () -> I.create inner)
           ~step:(fun rng inst (obs : Io.User.obs) ->
-            ignore obs;
-            if cancelled () then (inst, Io.User.halt_act)
-            else (inst, { (I.step rng inst obs) with Io.User.halt = false }))
+            if cancelled () then Io.User.halt_act
+            else Io.User.unhalted (I.step rng inst obs))
       in
       let config =
         let base = match config with Some c -> c | None -> Exec.config () in
@@ -397,7 +373,7 @@ let finite ?schedule ?checkpoint ?stats ~enum ~sensing () =
   let initial_schedule () =
     match schedule with Some s -> s | None -> Levin.schedule ()
   in
-  Strategy.make
+  Strategy.make_inplace
     ~name:(Printf.sprintf "universal-finite(%s;%s)" (Enum.name enum) sensing.Sensing.name)
     ~init:(fun () ->
       Option.iter reset_stats stats;
@@ -422,13 +398,13 @@ let finite ?schedule ?checkpoint ?stats ~enum ~sensing () =
         f_used = 0;
         f_sense = Sensing.start sensing;
         f_pending = false;
-        f_obs = no_obs;
+        f_obs = Io.User.no_obs;
         f_act = Io.User.silent;
       })
     ~step:(fun rng state (obs : Io.User.obs) ->
       if state.f_pending then
         ignore
-          (Sensing.observe state.f_sense (pending_event state.f_obs state.f_act));
+          (Sensing.observe state.f_sense (View.of_round state.f_obs state.f_act));
       let verdict =
         if not state.f_pending then Sensing.Negative (* nothing achieved yet *)
         else Sensing.verdict state.f_sense
@@ -442,7 +418,7 @@ let finite ?schedule ?checkpoint ?stats ~enum ~sensing () =
           | None -> 0);
       if verdict = Sensing.Positive then begin
         state.f_pending <- false;
-        (state, Io.User.halt_act)
+        Io.User.halt_act
       end
       else begin
         let session_over =
@@ -478,10 +454,10 @@ let finite ?schedule ?checkpoint ?stats ~enum ~sensing () =
           | Some (_, inst) -> inst
           | None -> assert false
         in
-        let act = unhalted (I.step rng inst obs) in
+        let act = Io.User.unhalted (I.step rng inst obs) in
         state.f_pending <- true;
         state.f_obs <- obs;
         state.f_act <- act;
         state.f_used <- state.f_used + 1;
-        (state, act)
+        act
       end)

@@ -9,6 +9,16 @@ type event = {
   halted : bool;
 }
 
+let of_round (obs : Io.User.obs) (act : Io.User.act) =
+  {
+    round = obs.round;
+    from_server = obs.from_server;
+    from_world = obs.from_world;
+    to_server = act.to_server;
+    to_world = act.to_world;
+    halted = false;
+  }
+
 (* Events most recent first. *)
 type t = { rev : event list; len : int }
 

@@ -15,6 +15,10 @@ type event = {
   halted : bool;
 }
 
+val of_round : Io.User.obs -> Io.User.act -> event
+(** The event of a round the user observed [obs] in and answered with
+    [act] (not halted): what {!of_history} builds for that round. *)
+
 type t
 
 val empty : t

@@ -20,6 +20,15 @@ val make :
   view:('state -> Msg.t) ->
   t
 
+val make_inplace :
+  name:string ->
+  init:(unit -> 'state) ->
+  step:(Goalcom_prelude.Rng.t -> 'state -> Io.World.obs -> Io.World.act) ->
+  view:('state -> Msg.t) ->
+  t
+(** A world whose [step] updates a fresh-per-[init] state in place and
+    returns the act, as {!Strategy.make_inplace}. *)
+
 val name : t -> string
 
 (** A running world instance. *)

@@ -81,55 +81,80 @@ let schedule_of ~warm ~enum ~server_class =
       | [] -> None
       | hints -> Some (Levin.hinted ~hints (Levin.schedule ())))
 
+(* What the sessions of one family share: its goal, its dialects and
+   its server in each dialect.  All are immutable (a run instantiates
+   its own states), so [specs] builds them once per family instead of
+   once per session. *)
+type shared = {
+  goal : Goal.t;
+  dialects : Dialect.t Enum.t;
+  servers : Strategy.server array;  (* by dialect index *)
+}
+
+let shared ~alphabet ~server goal =
+  let dialects = Dialect.enumerate_rotations ~size:alphabet in
+  {
+    goal;
+    dialects;
+    servers =
+      Array.init alphabet (fun k -> server ~alphabet (Enum.get_exn dialects k));
+  }
+
+let families () =
+  let maze scenario =
+    shared ~alphabet:maze_alphabet ~server:Maze.server
+      (Maze.goal ~scenarios:[ scenario ] ~alphabet:maze_alphabet ())
+  in
+  [|
+    shared ~alphabet:printing_alphabet ~server:Printing.server
+      (Printing.goal ~docs:[ printing_doc ] ~alphabet:printing_alphabet ());
+    maze corridor;
+    maze open_room;
+  |]
+
 (* Session [i] cycles through three goal families (printing, corridor
    maze, open-room maze) and, within a family, through the server
    dialects — so every chaos target pattern (%M=R) cuts across goals
    and dialects alike.  With [warm], a validated hint for the session's
    class+dialect becomes a prepended Levin slot (hints are resolved
    here, once per spec, not per incarnation). *)
-let spec_of ?warm i : Session.Engine.spec =
+let spec_of ?warm families i : Session.Engine.spec =
   let schedule =
     schedule_of ~warm ~enum:(users_of i) ~server_class:(warm_class i)
   in
+  let f = families.(i mod 3) in
+  let server = f.servers.(i / 3 mod Array.length f.servers) in
   match i mod 3 with
   | 0 ->
-      let dialects = Dialect.enumerate_rotations ~size:printing_alphabet in
-      let server =
-        Printing.server ~alphabet:printing_alphabet
-          (Enum.get_exn dialects (i / 3 mod printing_alphabet))
-      in
       {
         sname = Printf.sprintf "s%d/printing" i;
         server_class = "printing";
-        goal = Printing.goal ~docs:[ printing_doc ] ~alphabet:printing_alphabet ();
+        goal = f.goal;
         make_user =
           (fun ~checkpoint ->
             Printing.universal_user ?schedule ~checkpoint
-              ~alphabet:printing_alphabet dialects);
+              ~alphabet:printing_alphabet f.dialects);
         server;
         exec_config = Exec.config ~horizon:printing_horizon ();
       }
   | family ->
       let scenario, sname = if family = 1 then (corridor, "corridor") else (open_room, "open") in
-      let dialects = Dialect.enumerate_rotations ~size:maze_alphabet in
-      let server =
-        Maze.server ~alphabet:maze_alphabet
-          (Enum.get_exn dialects (i / 3 mod maze_alphabet))
-      in
       {
         sname = Printf.sprintf "s%d/maze-%s" i sname;
         server_class = "maze-" ^ sname;
-        goal = Maze.goal ~scenarios:[ scenario ] ~alphabet:maze_alphabet ();
+        goal = f.goal;
         make_user =
           (fun ~checkpoint ->
             Universal.finite ?schedule ~checkpoint
-              ~enum:(Maze.user_class ~alphabet:maze_alphabet ~scenario dialects)
+              ~enum:(Maze.user_class ~alphabet:maze_alphabet ~scenario f.dialects)
               ~sensing:Maze.sensing ());
         server;
         exec_config = Exec.config ~horizon:maze_horizon ();
       }
 
-let specs ?warm ~sessions () = Array.init sessions (spec_of ?warm)
+let specs ?warm ~sessions () =
+  let families = families () in
+  Array.init sessions (spec_of ?warm families)
 
 (* The budget a warm hint should carry: the winner achieved the goal
    with world progress accumulated across its {e revisited} slots

@@ -194,26 +194,31 @@ let list_opt = function List vs -> Some vs | _ -> None
 
 (* Printing. *)
 
-let needs_escape c = c = '"' || c = '\\' || Char.code c < 0x20
+let[@inline] needs_escape c = c = '"' || c = '\\' || Char.code c < 0x20
 
-(* Names and details rarely need escaping: copy them whole when they
-   do not.  Bytes >= 0x80 go out raw, which [parse] reads back byte for
-   byte. *)
-let add_escaped b s =
-  if not (String.exists needs_escape s) then Buffer.add_string b s
-  else
-    String.iter
-      (fun c ->
-        match c with
-        | '"' -> Buffer.add_string b "\\\""
-        | '\\' -> Buffer.add_string b "\\\\"
-        | '\n' -> Buffer.add_string b "\\n"
-        | '\r' -> Buffer.add_string b "\\r"
-        | '\t' -> Buffer.add_string b "\\t"
-        | c when Char.code c < 0x20 ->
-            Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-        | c -> Buffer.add_char b c)
-      s
+(* The first index at or after [i] whose byte needs an escape, or the
+   length of [s]. *)
+let rec clean_until s i =
+  if i = String.length s || needs_escape (String.unsafe_get s i) then i
+  else clean_until s (i + 1)
+
+(* Names and details rarely need escaping: clean runs are copied whole.
+   Bytes >= 0x80 go out raw, which [parse] reads back byte for byte. *)
+let rec add_escaped_from b s start =
+  let i = clean_until s start in
+  Buffer.add_substring b s start (i - start);
+  if i < String.length s then begin
+    (match s.[i] with
+    | '"' -> Buffer.add_string b "\\\""
+    | '\\' -> Buffer.add_string b "\\\\"
+    | '\n' -> Buffer.add_string b "\\n"
+    | '\r' -> Buffer.add_string b "\\r"
+    | '\t' -> Buffer.add_string b "\\t"
+    | c -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c)));
+    add_escaped_from b s (i + 1)
+  end
+
+let add_escaped b s = add_escaped_from b s 0
 
 (* The shortest of %.15g / %.17g that reads back as the same float,
    with a ".0" when the digits alone would read back as an Int. *)

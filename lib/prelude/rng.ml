@@ -1,48 +1,58 @@
-type t = { mutable state : int64 }
+(* The 64-bit state lives unboxed in an 8-byte buffer: a [mutable
+   int64] field would box a fresh value on every draw.  Inside this
+   module the compiler keeps the int64 arithmetic unboxed, so a draw
+   that returns an [int], [bool] or [unit] allocates nothing. *)
+type t = Bytes.t
+
+external get : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let mix64 z =
+let[@inline] mix64 z =
   let open Int64 in
   let z = mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL in
   logxor z (shift_right_logical z 31)
 
-let of_int64 seed = { state = mix64 seed }
+let of_int64 seed =
+  let t = Bytes.create 8 in
+  set t 0 (mix64 seed);
+  t
+
 let make seed = of_int64 (Int64.of_int seed)
-let copy t = { state = t.state }
+let copy = Bytes.copy
 
-let int64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  mix64 t.state
+let[@inline] next t =
+  let s = Int64.add (get t 0) golden_gamma in
+  set t 0 s;
+  mix64 s
 
-let split t = of_int64 (int64 t)
+let int64 t = next t
+let split t = of_int64 (next t)
 
-let bits30 t = Int64.to_int (Int64.shift_right_logical (int64 t) 34)
+let[@inline] bits30 t = Int64.to_int (Int64.shift_right_logical (next t) 34)
+
+(* Rejection sampling on 30 bits to avoid modulo bias. *)
+let rec below t limit bound =
+  let v = bits30 t in
+  if v < limit then v mod bound else below t limit bound
 
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
-  if bound <= 1 lsl 30 then begin
-    (* Rejection sampling on 30 bits to avoid modulo bias. *)
-    let limit = (1 lsl 30) / bound * bound in
-    let rec loop () =
-      let v = bits30 t in
-      if v < limit then v mod bound else loop ()
-    in
-    loop ()
-  end
-  else begin
-    let v = Int64.to_int (Int64.shift_right_logical (int64 t) 2) in
-    v mod bound
-  end
+  if bound <= 1 lsl 30 then below t ((1 lsl 30) / bound * bound) bound
+  else Int64.to_int (Int64.shift_right_logical (next t) 2) mod bound
+
+(* 53 random bits over 2^53. *)
+let[@inline] unit_float t =
+  Int64.to_float (Int64.shift_right_logical (next t) 11) /. 9007199254740992.
 
 let float t bound =
   if bound <= 0. then invalid_arg "Rng.float: bound must be positive";
-  let v = Int64.to_float (Int64.shift_right_logical (int64 t) 11) in
-  v /. 9007199254740992. *. bound (* 2^53 *)
+  unit_float t *. bound
 
-let bool t = Int64.logand (int64 t) 1L = 1L
-let bernoulli t p = float t 1.0 < p
+let bool t = Int64.logand (next t) 1L = 1L
+let bernoulli t p = unit_float t < p
 
 let pick t = function
   | [] -> invalid_arg "Rng.pick: empty list"

@@ -8,6 +8,12 @@ let sym ~fwd d s =
   else if fwd then Dialect.apply d s
   else Dialect.unapply d s
 
+(* Translated symbols come from a dialect's range [0, size): those of
+   the alphabets in use (a few symbols to a few dozen) are built once,
+   so a translation is a table load. *)
+let interned = Array.init 64 (fun s -> Msg.Sym s)
+let sym_msg s = if s < Array.length interned then interned.(s) else Msg.Sym s
+
 (* Returns [m] itself, physically, when no symbol changes: a [Pair] or
    [Seq] node is rebuilt only when one of its children was.  Most
    messages on a served round carry no symbol (pages, positions,
@@ -17,7 +23,7 @@ let rec map_syms ~fwd d (m : Msg.t) : Msg.t =
   | Msg.Silence | Msg.Int _ | Msg.Text _ -> m
   | Msg.Sym s ->
       let s' = sym ~fwd d s in
-      if s' = s then m else Msg.Sym s'
+      if s' = s then m else sym_msg s'
   | Msg.Pair (a, b) ->
       let a' = map_syms ~fwd d a in
       let b' = map_syms ~fwd d b in

@@ -444,6 +444,95 @@ let test_restart () =
       ("Chaos.burst_window", Chaos.burst_window ~prob:0.5 ~lo:2 ~hi:30);
     ]
 
+(* --- the round frame's words, layer by layer ------------------------- *)
+
+(* Minor words per call of [f] over 1,000 calls, after 1,000 warm-up
+   calls, net of the measurement's own float. *)
+let words_per_call f =
+  let run () =
+    for _ = 1 to 1000 do
+      f ()
+    done
+  in
+  run ();
+  let w0 = Gc.minor_words () in
+  let w1 = Gc.minor_words () in
+  run ();
+  let w2 = Gc.minor_words () in
+  ((w2 -. w1) -. (w1 -. w0)) /. 1000.
+
+(* Each part of an untraced Control round, driven alone with inputs
+   built beforehand: the world's step and view, the server under a
+   non-identity and under the identity dialect, the compact universal
+   user once settled, and the referee's live judge.  What the Summary
+   stepper adds on top is its three obs records (4 + 3 + 3 words);
+   "untraced step allocation" in test_telemetry pins the whole round. *)
+let test_round_frame_words () =
+  let alphabet = 4 in
+  let dialects = Dialect.enumerate_rotations ~size:alphabet in
+  let d = Enum.get_exn dialects 2 in
+  let goal = Control.goal ~alphabet () in
+  let rng = Rng.make 11 in
+  let i = ref 0 in
+  let next a =
+    incr i;
+    a.(!i land 1)
+  in
+  let world = World.Instance.create (List.hd goal.Goal.worlds) in
+  let world_obs =
+    Array.map
+      (fun c -> { Io.World.from_user = Msg.Silence; from_server = Msg.Sym c })
+      [| Control.left_cmd; Control.right_cmd |]
+  in
+  let server = Strategy.Instance.create (Control.server ~alphabet d) in
+  let identity_server =
+    Strategy.Instance.create (Control.server ~alphabet (Enum.get_exn dialects 0))
+  in
+  let server_obs =
+    Array.map
+      (fun c ->
+        {
+          Io.Server.from_user = Dialect_msg.encode d (Msg.Sym c);
+          from_world = Msg.Silence;
+        })
+      [| Control.left_cmd; Control.right_cmd |]
+  in
+  let plain_server_obs =
+    Array.map
+      (fun c -> { Io.Server.from_user = Msg.Sym c; from_world = Msg.Silence })
+      [| Control.left_cmd; Control.right_cmd |]
+  in
+  let user =
+    Strategy.Instance.create (Control.universal_user ~alphabet dialects)
+  in
+  let user_obs = Array.map (fun p -> user_obs (Msg.Int p) 0) [| 3; -2 |] in
+  let live = Outcome.Live.create goal (Msg.Int 0) in
+  let views = [| Msg.Int 3; Msg.Int 30 |] in
+  let parts =
+    [
+      ("world step", 0., fun () -> ignore (World.Instance.step rng world (next world_obs)));
+      ("world view", 0., fun () -> ignore (World.Instance.view world));
+      ( "dialect-wrapped server step",
+        3.,
+        fun () -> ignore (Strategy.Instance.step rng server (next server_obs)) );
+      ( "identity-dialect server step",
+        0.,
+        fun () ->
+          ignore
+            (Strategy.Instance.step rng identity_server (next plain_server_obs))
+      );
+      ( "Universal.compact step",
+        7.,
+        fun () -> ignore (Strategy.Instance.step rng user (next user_obs)) );
+      ("Outcome.Live.step", 0., fun () -> Outcome.Live.step live ~round:1 (next views));
+    ]
+  in
+  List.iter
+    (fun (what, pinned, f) ->
+      Alcotest.(check (float 0.)) (what ^ ": words per step") pinned
+        (words_per_call f))
+    parts
+
 let () =
   let qc = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "alloc"
@@ -476,4 +565,6 @@ let () =
           Alcotest.test_case "referee interleaved" `Quick test_referee_interleaved;
           Alcotest.test_case "restart = fresh instance" `Quick test_restart;
         ] );
+      ( "round frame",
+        [ Alcotest.test_case "words per layer" `Quick test_round_frame_words ] );
     ]

@@ -77,6 +77,81 @@ let test_rng_copy () =
   let b = Rng.copy a in
   Alcotest.(check int64) "same continuation" (Rng.int64 a) (Rng.int64 b)
 
+(* The SplitMix64 stream, pinned: the first 64 draws of each kind for
+   seeds 0, 1 and -1, as an MD5 of the comma-joined values (floats in
+   %h, exact), with the first draw spelled out so a failure shows which
+   way the stream moved.  The representation of the state may change;
+   these values may not: every recorded digest depends on them. *)
+let pinned_streams =
+  [
+    (0, "int64", "56e4392d00c4fecf4f2667422f26297b", "-2152535657050944081");
+    (0, "int 7", "399c453f2e1a3b247577075ba192c8d3", "6");
+    (0, "int 2^40", "15be0678527c02e3199522ebe9476e15", "61719671659");
+    (0, "float 1.0", "d8d2169f371f1664a05b5b059565cb0f", "0x1.c4415072f63b9p-1");
+    (0, "bool", "bba5edcb5668098e4c40fef7e6152fd2", "true");
+    (1, "int64", "cc56ee371b09cd4e87f8b775eb8368ba", "-4616330145664149646");
+    (1, "int 7", "497d4e98e84a14b439770bb9b8612c34", "1");
+    (1, "int 2^40", "1230a0f6f89d3203664e213f92b33937", "52469741020");
+    (1, "float 1.0", "18d7b72c94159c7482a4d27d55e654c4", "0x1.7fdf0061bb85ap-1");
+    (1, "bool", "f8dd46b824020ec7999c316240eb0004", "false");
+    (-1, "int64", "21f8e0e156be495eb2e5d6f12edfcd4d", "-6523613405836042406");
+    (-1, "int 7", "6c17ede0158468d03774d8365ba97606", "5");
+    (-1, "int 2^40", "d956ef1e209d14d76c5c96c93cdf6bda", "46997874646");
+    (-1, "float 1.0", "37e784518bc9e6b2c305460e38636793", "0x1.4aeef0578a553p-1");
+    (-1, "bool", "c310b549ae3ce0e6356a25cbad10ab13", "false");
+  ]
+
+let draw_as_string = function
+  | "int64" -> fun r -> Int64.to_string (Rng.int64 r)
+  | "int 7" -> fun r -> string_of_int (Rng.int r 7)
+  | "int 2^40" -> fun r -> string_of_int (Rng.int r (1 lsl 40))
+  | "float 1.0" -> fun r -> Printf.sprintf "%h" (Rng.float r 1.0)
+  | "bool" -> fun r -> string_of_bool (Rng.bool r)
+  | k -> invalid_arg k
+
+let test_rng_stream_pinned () =
+  List.iter
+    (fun (seed, kind, md5, first) ->
+      let r = Rng.make seed in
+      let vs = List.init 64 (fun _ -> draw_as_string kind r) in
+      let what = Printf.sprintf "seed %d, %s" seed kind in
+      Alcotest.(check string) (what ^ ": first") first (List.hd vs);
+      Alcotest.(check string) (what ^ ": 64 draws") md5
+        (Digest.to_hex (Digest.string (String.concat "," vs))))
+    pinned_streams;
+  let parent = Rng.make 1 in
+  let child = Rng.split parent in
+  Alcotest.(check int64) "after split: child" (-1089616305791727635L) (Rng.int64 child);
+  Alcotest.(check int64) "after split: parent" 6869446166584666695L (Rng.int64 parent);
+  let r = Rng.make 1 in
+  ignore (Rng.int64 r);
+  let c = Rng.copy r in
+  Alcotest.(check int64) "after copy: copy" 6869446166584666695L (Rng.int64 c);
+  Alcotest.(check int64) "after copy: original" 6869446166584666695L (Rng.int64 r)
+
+(* A draw that returns an immediate allocates nothing: the state is
+   unboxed, and the rejection loop is no closure. *)
+let test_rng_draws_allocate_nothing () =
+  let rng = Rng.make 3 in
+  let sink = ref 0 in
+  let words f =
+    f ();
+    let w0 = Gc.minor_words () in
+    let w1 = Gc.minor_words () in
+    f ();
+    let w2 = Gc.minor_words () in
+    (w2 -. w1) -. (w1 -. w0)
+  in
+  let draws name f =
+    Alcotest.(check (float 0.)) (name ^ ": minor words") 0.
+      (words (fun () -> for _ = 1 to 10_000 do f () done))
+  in
+  draws "int 7" (fun () -> sink := !sink + Rng.int rng 7);
+  draws "int 2^40" (fun () -> sink := !sink + Rng.int rng (1 lsl 40));
+  draws "bernoulli" (fun () -> if Rng.bernoulli rng 0.3 then incr sink);
+  draws "bool" (fun () -> if Rng.bool rng then incr sink);
+  Alcotest.(check bool) "draws were made" true (!sink > 0)
+
 let test_rng_pick () =
   let rng = Rng.make 14 in
   let v = Rng.pick rng [ 5 ] in
@@ -326,6 +401,9 @@ let () =
           Alcotest.test_case "permutation" `Quick test_rng_permutation;
           Alcotest.test_case "copy" `Quick test_rng_copy;
           Alcotest.test_case "pick" `Quick test_rng_pick;
+          Alcotest.test_case "stream pinned" `Quick test_rng_stream_pinned;
+          Alcotest.test_case "draws allocate nothing" `Quick
+            test_rng_draws_allocate_nothing;
         ] );
       ( "dist",
         [

@@ -580,6 +580,50 @@ let prop_json_roundtrip =
     (QCheck.make ~print:Obs.Json.to_string json_gen)
     (fun v -> Obs.Json.parse (Obs.Json.to_string v) = Ok v)
 
+(* The escaper as it was before the index scan: the reference the
+   current one must match byte for byte. *)
+let add_escaped_reference b s =
+  if not (String.exists Obs.Json.needs_escape s) then Buffer.add_string b s
+  else
+    String.iter
+      (fun c ->
+        match c with
+        | '"' -> Buffer.add_string b "\\\""
+        | '\\' -> Buffer.add_string b "\\\\"
+        | '\n' -> Buffer.add_string b "\\n"
+        | '\r' -> Buffer.add_string b "\\r"
+        | '\t' -> Buffer.add_string b "\\t"
+        | c when Char.code c < 0x20 ->
+            Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
+        | c -> Buffer.add_char b c)
+      s
+
+(* Random strings weighted towards the bytes the escaper treats
+   specially: quote, backslash, control bytes and high bytes. *)
+let prop_escape_matches_reference =
+  let byte =
+    QCheck.Gen.(
+      frequency
+        [
+          (3, map Char.chr (int_range 0x20 0x7e));
+          (1, oneofl [ '"'; '\\'; '\n'; '\r'; '\t' ]);
+          (1, map Char.chr (int_bound 0x1f));
+          (1, map Char.chr (int_range 0x80 0xff));
+        ])
+  in
+  QCheck.Test.make ~count:(4 * qcount)
+    ~name:"Json.add_escaped = the reference escaper"
+    (QCheck.make ~print:String.escaped
+       QCheck.Gen.(string_size ~gen:byte (int_bound 40)))
+    (fun s ->
+      let escaped f =
+        let b = Buffer.create 16 in
+        Buffer.add_string b "x";
+        f b s;
+        Buffer.contents b
+      in
+      escaped Obs.Json.add_escaped = escaped add_escaped_reference)
+
 let json_non_finite_rejected () =
   List.iter
     (fun f ->
@@ -665,6 +709,7 @@ let () =
       ( "json",
         [
           QCheck_alcotest.to_alcotest prop_json_roundtrip;
+          QCheck_alcotest.to_alcotest prop_escape_matches_reference;
           QCheck_alcotest.to_alcotest prop_json_parse_total;
           Alcotest.test_case "non-finite rejected" `Quick
             json_non_finite_rejected;
