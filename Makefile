@@ -15,7 +15,8 @@ test:
 # racer winner agreement, pool internals).
 check: build test
 
-# Mirror of .github/workflows/ci.yml: build, test, trace smoke +
+# Mirror of .github/workflows/ci.yml: build, test, goal smoke (every
+# goal's `check` holds and its universal demo achieves), trace smoke +
 # analytics, parallel smoke, chaos smoke, live-stats smoke, golden
 # drift, bench gate, serving-benchmark smoke (with the long_horizon
 # 32 MB and open_ring 100 MB peak-heap guards, the long_horizon 25-word,
@@ -23,6 +24,12 @@ check: build test
 # pushing.
 ci: check
 	dune exec bin/main.exe -- run e17 --jobs 2
+	for g in printing maze control password delegation transfer prediction counting; do \
+	  out=$$(dune exec bin/main.exe -- check $$g) || exit 1; echo "$$out"; \
+	  echo "$$out" | grep -q HOLDS || exit 1; \
+	  if echo "$$out" | grep -q VIOLATED; then exit 1; fi; \
+	  dune exec bin/main.exe -- demo $$g --user universal | grep 'achieved=true' || exit 1; \
+	done
 	GOALCOM_E19_TRIALS=10 dune exec bin/main.exe -- run e19 --jobs 2
 	dune exec bin/main.exe -- serve --sessions 24 --mix net --jobs 2
 	dune exec bin/main.exe -- serve --sessions 2000 --jobs 1 --arrivals poisson:2.5 --class-weights "printing=3,maze-corridor=1" | grep '^digest' > /tmp/sched-1.digest

@@ -825,9 +825,9 @@ let measure_par_part ~check =
    transfer across hosts:
    - judge16k_incr_vs_legacy_pct: incremental [Referee.violations]
      as a percentage of the legacy prefix-predicate path
-     ([Referee.violations_prefix] on a list-predicate referee) at
-     horizon 16k.  Holding under 10% is the ">= 10x wall-clock win"
-     acceptance bar.
+     ([sense_judge_legacy], a replica of the quadratic list-predicate
+     judge) at horizon 16k.  Holding under 10% is the ">= 10x
+     wall-clock win" acceptance bar.
    - *_scaling_16k_over_1k: wall clock at horizon 16k over horizon 1k
      for the incremental judge and the tolerant sensing kernel.  A
      linear pass gives ~16x; anything quadratic gives ~256x.  Gated at
@@ -865,13 +865,24 @@ let sense_in_range = function
   | Msg.Int p -> abs p <= sense_bound
   | _ -> false
 
-(* Legacy constructor: a predicate over most-recent-first world views.
-   [violations_prefix] re-evaluates it once per prefix — the
-   pre-refactor cost model for compact judging. *)
-let sense_referee_legacy =
-  Referee.compact "plant-in-range/legacy" (function
-    | v :: _ -> sense_in_range v
-    | [] -> true)
+(* The legacy judge, replicated here as the baseline: a predicate over
+   most-recent-first world views, re-evaluated on a freshly built list
+   for every prefix — the pre-refactor cost model for compact judging,
+   O(n^2). *)
+let sense_judge_legacy hist =
+  let acceptable = function v :: _ -> sense_in_range v | [] -> true in
+  let n = History.length hist in
+  let rounds = Array.init n (History.round_exn hist) in
+  let acc = ref [] in
+  for i = n - 1 downto 0 do
+    let views = ref [ History.initial_world_view hist ] in
+    for k = 0 to i do
+      views := rounds.(k).History.Round.world_view :: !views
+    done;
+    if not (acceptable !views) then
+      acc := rounds.(i).History.Round.index :: !acc
+  done;
+  !acc
 
 let sense_referee_incr =
   Referee.compact_incremental "plant-in-range/incr"
@@ -886,8 +897,7 @@ let sense_tolerant = Sensing.tolerant ~window:8 ~threshold:6 sense_sensor
 
 let sense_kernels =
   [
-    ( "judge-legacy",
-      fun hist -> ignore (Referee.violations_prefix sense_referee_legacy hist) );
+    ("judge-legacy", fun hist -> ignore (sense_judge_legacy hist));
     ( "judge-incremental",
       fun hist -> ignore (Referee.violations sense_referee_incr hist) );
     ("sense-verdicts", fun hist -> ignore (Sensing.verdicts sense_sensor hist));
@@ -920,7 +930,7 @@ let measure_sense ~repeats () =
   let h0 = snd (List.hd hists) in
   if
     Referee.violations sense_referee_incr h0
-    <> Referee.violations_prefix sense_referee_legacy h0
+    <> sense_judge_legacy h0
   then failwith "sense bench: judge kernels disagree";
   List.map
     (fun (name, kernel) ->

@@ -16,11 +16,7 @@ type state =
     }
       -> state
 
-type t = {
-  name : string;
-  sense : View.t -> verdict;  (** whole-view verdict *)
-  spawn : unit -> state;  (** fresh incremental instance *)
-}
+type t = { name : string; spawn : unit -> state }
 
 let start t = t.spawn ()
 
@@ -34,54 +30,20 @@ let observe st e =
 
 let verdict (State { last; _ }) = Lazy.force last
 
-(* Compatibility constructor: the incremental instance accumulates the
-   view and calls the original [sense] once per observed event — the
-   same per-round call pattern (and rng-draw sequence, for effectful
-   sensors) the engine always had. *)
-let make ~name sense =
-  {
-    name;
-    sense;
-    spawn =
-      (fun () ->
-        State
-          {
-            s = View.empty;
-            last = lazy (sense View.empty);
-            step =
-              (fun view e ->
-                let view = View.extend view e in
-                (view, sense view));
-          });
-  }
-
 let incremental ~name ~init ~step =
-  let sense view =
-    let s0, v0 = init () in
-    let _, v =
-      List.fold_left (fun (s, _) e -> step s e) (s0, v0) (View.events view)
-    in
-    v
-  in
   {
     name;
-    sense;
     spawn =
       (fun () ->
         let s, v = init () in
         State { s; last = Lazy.from_val v; step });
   }
 
-(* Most goal sensors only inspect the latest event: O(1) per round and
-   per whole-view call. *)
+(* Most goal sensors only inspect the latest event: O(1) per round. *)
 let of_latest ~name ~empty p =
   let empty_v = if empty then Positive else Negative in
-  let judge e = if p e then Positive else Negative in
   {
     name;
-    sense =
-      (fun view ->
-        match View.latest view with None -> empty_v | Some e -> judge e);
     spawn =
       (fun () ->
         State
@@ -102,11 +64,6 @@ let of_recent ~name ~window p =
   if window <= 0 then invalid_arg "Sensing.of_recent: window must be positive";
   {
     name;
-    sense =
-      (fun view ->
-        if List.exists p (Listx.take window (View.events_rev view)) then
-          Positive
-        else Negative);
     spawn =
       (fun () ->
         let r = { seen = 0; last_hit = 0 } in
@@ -130,15 +87,11 @@ let constant v =
   in
   {
     name;
-    sense = (fun _ -> v);
     spawn =
       (fun () ->
         let r = ((), v) in
         State { s = (); last = Lazy.from_val v; step = (fun () _ -> r) });
   }
-
-let of_predicate ~name p =
-  make ~name (fun view -> if p view then Positive else Negative)
 
 let verdicts t history =
   let _, acc =
@@ -172,52 +125,15 @@ let negatives_after t history round =
    halting: making Negative harder makes Positive easier, which is the
    unsafe direction when positives trigger halting.
 
-   The incremental instance keeps the last [window] raw verdicts in a
-   ring buffer alongside a live instance of the base sensor, so each
-   round costs one base observation plus O(1) ring maintenance; the
-   whole-view [sense] closure keeps the historical re-sensing
-   implementation (it is the only way to evaluate an arbitrary view in
-   one shot, and the fault tests exercise it directly). *)
+   Each instance keeps the last [window] raw verdicts in a ring buffer
+   alongside a live instance of the base sensor, so each round costs
+   one base observation plus O(1) ring maintenance. *)
 let tolerant ~window ~threshold t =
   if window <= 0 then invalid_arg "Sensing.tolerant: window must be positive";
   if threshold <= 0 || threshold > window then
     invalid_arg "Sensing.tolerant: threshold must be in 1..window";
   let name = Printf.sprintf "%s/tolerant(%d-of-%d)" t.name threshold window in
   let mask_name = name ^ "/mask" in
-  let mask_event ~round ~negs =
-    (* A raw negative masked by a healthy recent window is the
-       interesting tolerant-sensing event: record it when tracing (every
-       unmasked verdict is already visible to the universal user's own
-       [Sense] emission). *)
-    Trace.emit_sense (Trace.handle ()) ~round ~sensor:mask_name ~positive:true
-      ~clock:negs ~patience:threshold
-  in
-  let sense view =
-    let depth = min window (View.length view) in
-    if depth = 0 then Positive
-    else begin
-      let raw0 = t.sense view in
-      let rec negs k acc =
-        if k >= depth || acc >= threshold then acc
-        else begin
-          let v = t.sense (View.drop_latest k view) in
-          negs (k + 1) (if v = Negative then acc + 1 else acc)
-        end
-      in
-      let n = negs 1 (if raw0 = Negative then 1 else 0) in
-      if n >= threshold then Negative
-      else begin
-        if raw0 = Negative then
-          mask_event
-            ~round:
-              (match View.latest view with
-              | Some e -> e.View.round
-              | None -> 0)
-            ~negs:n;
-        Positive
-      end
-    end
-  in
   let spawn () =
     (* Ring of the last [window] raw verdicts; [negs] counts the
        Negatives currently in the ring, so the masked/unmasked decision
@@ -239,28 +155,48 @@ let tolerant ~window ~threshold t =
       pos := (!pos + 1) mod window;
       if !negs >= threshold then ((), Negative)
       else begin
-        if raw0 = Negative then mask_event ~round:e.View.round ~negs:!negs;
+        (* A raw negative masked by a healthy recent window is the
+           interesting tolerant-sensing event: record it when tracing
+           (every unmasked verdict is already visible to the universal
+           user's own [Sense] emission). *)
+        if raw0 = Negative then
+          Trace.emit_sense (Trace.handle ()) ~round:e.View.round
+            ~sensor:mask_name ~positive:true ~clock:!negs ~patience:threshold;
         ((), Positive)
       end
     in
     State { s = (); last = Lazy.from_val Positive; step }
   in
-  { name; sense; spawn }
+  { name; spawn }
 
+(* The empty-view verdict stays lazy, so a corrupted Negative draws from
+   [rng] only when that verdict is read; after that, one draw per
+   Negative round. *)
 let corrupt_unsafe ~flip_to_positive rng t =
-  make
-    ~name:(Printf.sprintf "%s/unsafe(%.2f)" t.name flip_to_positive)
-    (fun view ->
-      match t.sense view with
-      | Positive -> Positive
-      | Negative ->
-          if Rng.bernoulli rng flip_to_positive then Positive else Negative)
+  let flip = function
+    | Positive -> Positive
+    | Negative ->
+        if Rng.bernoulli rng flip_to_positive then Positive else Negative
+  in
+  {
+    name = Printf.sprintf "%s/unsafe(%.2f)" t.name flip_to_positive;
+    spawn =
+      (fun () ->
+        let inner = start t in
+        State
+          {
+            s = inner;
+            last = lazy (flip (verdict inner));
+            step =
+              (fun inner e ->
+                let inner = observe inner e in
+                (inner, flip (verdict inner)));
+          });
+  }
 
 let corrupt_unviable t =
-  let name = t.name ^ "/unviable" in
   {
-    name;
-    sense = (fun _ -> Negative);
+    name = t.name ^ "/unviable";
     spawn =
       (fun () ->
         State
@@ -281,9 +217,9 @@ type 'inst halting = {
 }
 
 (* A user that runs [inner] but halts as soon as sensing turns positive.
-   Sensing state is fed exactly the events {!View.of_history} would
-   build: the event for round r pairs the round-r sends with the
-   messages received when acting at round r (i.e. emitted at round r-1);
+   Sensing state is fed exactly the events {!View.fold_events} yields:
+   the event for round r pairs the round-r sends with the messages
+   received when acting at round r (i.e. emitted at round r-1);
    sensing therefore sees the rounds completed so far.  One observation
    per round — the engine never re-steps a halted user, so the verdict
    of the live instance is always current. *)
@@ -354,134 +290,105 @@ let config_for_trial ?config ~goal trial =
   let base = match config with Some c -> c | None -> Exec.config () in
   Exec.{ base with world_choice = trial mod Goal.num_worlds goal }
 
-let check_safety_compact ?config ?tail_window ?(trials = 3) ~goal ~users
-    ~servers t rng =
+(* The validators' one trial loop: each (user, server) case in order,
+   run [trials] times (at least once per world of the goal) on its own
+   split of [rng]; [judge] names the trial's counterexample, if any. *)
+let run_trials ~property ?config ~trials ~goal ~cases t rng judge =
   let trials = max trials (Goal.num_worlds goal) in
   let checked = ref 0 in
   let counterexamples = ref [] in
   List.iter
-    (fun user ->
-      List.iter
-        (fun server ->
-          for trial = 1 to trials do
-            incr checked;
-            let trial_rng = Rng.split rng in
-            let config = config_for_trial ?config ~goal trial in
-            let outcome, history =
-              Exec.run_outcome ~config ?tail_window ~goal ~user ~server
-                trial_rng
-            in
-            if not outcome.Outcome.achieved then begin
-              let cutoff = tail_cutoff ?tail_window history in
-              let late_negatives = negatives_after t history cutoff in
-              if late_negatives = 0 then
-                counterexamples :=
-                  Printf.sprintf
-                    "user=%s server=%s trial=%d: goal failed but no negative \
-                     indication after round %d"
-                    (Strategy.name user) (Strategy.name server) trial cutoff
-                  :: !counterexamples
-            end
-          done)
-        servers)
-    users;
+    (fun (user, server) ->
+      for trial = 1 to trials do
+        incr checked;
+        let trial_rng = Rng.split rng in
+        let config = config_for_trial ?config ~goal trial in
+        match judge ~config ~user ~server ~trial trial_rng with
+        | None -> ()
+        | Some ex -> counterexamples := ex :: !counterexamples
+      done)
+    cases;
   build_report
-    (Printf.sprintf "compact safety of %s for %s" t.name (Goal.name goal))
+    (Printf.sprintf "%s of %s for %s" property t.name (Goal.name goal))
     !checked (List.rev !counterexamples)
+
+let all_pairs users servers =
+  List.concat_map
+    (fun user -> List.map (fun server -> (user, server)) servers)
+    users
+
+let designated user_for servers =
+  List.map (fun server -> (user_for server, server)) servers
+
+let check_safety_compact ?config ?tail_window ?(trials = 3) ~goal ~users
+    ~servers t rng =
+  run_trials ~property:"compact safety" ?config ~trials ~goal
+    ~cases:(all_pairs users servers) t rng
+    (fun ~config ~user ~server ~trial trial_rng ->
+      let outcome, history =
+        Exec.run_outcome ~config ?tail_window ~goal ~user ~server trial_rng
+      in
+      let cutoff = tail_cutoff ?tail_window history in
+      if outcome.Outcome.achieved || negatives_after t history cutoff > 0 then
+        None
+      else
+        Some
+          (Printf.sprintf
+             "user=%s server=%s trial=%d: goal failed but no negative \
+              indication after round %d"
+             (Strategy.name user) (Strategy.name server) trial cutoff))
 
 let check_viability_compact ?config ?tail_window ?(trials = 3) ~goal ~user_for
     ~servers t rng =
-  let trials = max trials (Goal.num_worlds goal) in
-  let checked = ref 0 in
-  let counterexamples = ref [] in
-  List.iter
-    (fun server ->
-      let user = user_for server in
-      for trial = 1 to trials do
-        incr checked;
-        let trial_rng = Rng.split rng in
-        let config = config_for_trial ?config ~goal trial in
-        let outcome, history =
-          Exec.run_outcome ~config ?tail_window ~goal ~user ~server trial_rng
-        in
-        let cutoff = tail_cutoff ?tail_window history in
-        let late_negatives = negatives_after t history cutoff in
-        if not outcome.Outcome.achieved then
-          counterexamples :=
-            Printf.sprintf "server=%s trial=%d: designated user %s failed the goal"
-              (Strategy.name server) trial (Strategy.name user)
-            :: !counterexamples
-        else if late_negatives > 0 then
-          counterexamples :=
-            Printf.sprintf
-              "server=%s trial=%d: %d negative indications after round %d"
-              (Strategy.name server) trial late_negatives cutoff
-            :: !counterexamples
-      done)
-    servers;
-  build_report
-    (Printf.sprintf "compact viability of %s for %s" t.name (Goal.name goal))
-    !checked (List.rev !counterexamples)
+  run_trials ~property:"compact viability" ?config ~trials ~goal
+    ~cases:(designated user_for servers) t rng
+    (fun ~config ~user ~server ~trial trial_rng ->
+      let outcome, history =
+        Exec.run_outcome ~config ?tail_window ~goal ~user ~server trial_rng
+      in
+      let cutoff = tail_cutoff ?tail_window history in
+      let late_negatives = negatives_after t history cutoff in
+      if not outcome.Outcome.achieved then
+        Some
+          (Printf.sprintf "server=%s trial=%d: designated user %s failed the goal"
+             (Strategy.name server) trial (Strategy.name user))
+      else if late_negatives > 0 then
+        Some
+          (Printf.sprintf
+             "server=%s trial=%d: %d negative indications after round %d"
+             (Strategy.name server) trial late_negatives cutoff)
+      else None)
 
 let check_safety_finite ?config ?(trials = 3) ~goal ~users ~servers t rng =
-  let trials = max trials (Goal.num_worlds goal) in
-  let checked = ref 0 in
-  let counterexamples = ref [] in
-  List.iter
-    (fun user ->
-      let wrapped = halt_on_positive t user in
-      List.iter
-        (fun server ->
-          for trial = 1 to trials do
-            incr checked;
-            let trial_rng = Rng.split rng in
-            let config = config_for_trial ?config ~goal trial in
-            let outcome, _ =
-              Exec.run_outcome ~config ~goal ~user:wrapped ~server trial_rng
-            in
-            (* If the wrapped user halted, it was on a positive indication;
-               safety demands the referee then accepts. *)
-            if outcome.Outcome.halted && not outcome.Outcome.achieved then
-              counterexamples :=
-                Printf.sprintf
-                  "user=%s server=%s trial=%d: halted on a positive indication \
-                   at round %s but the referee rejects"
-                  (Strategy.name user) (Strategy.name server) trial
-                  (match outcome.Outcome.halt_round with
-                  | Some r -> string_of_int r
-                  | None -> "?")
-                :: !counterexamples
-          done)
-        servers)
-    users;
-  build_report
-    (Printf.sprintf "finite safety of %s for %s" t.name (Goal.name goal))
-    !checked (List.rev !counterexamples)
+  let users = List.map (fun user -> (user, halt_on_positive t user)) users in
+  run_trials ~property:"finite safety" ?config ~trials ~goal
+    ~cases:(all_pairs users servers) t rng
+    (fun ~config ~user:(user, wrapped) ~server ~trial trial_rng ->
+      let outcome, _ =
+        Exec.run_outcome ~config ~goal ~user:wrapped ~server trial_rng
+      in
+      (* If the wrapped user halted, it was on a positive indication;
+         safety demands the referee then accepts. *)
+      if outcome.Outcome.halted && not outcome.Outcome.achieved then
+        Some
+          (Printf.sprintf
+             "user=%s server=%s trial=%d: halted on a positive indication at \
+              round %s but the referee rejects"
+             (Strategy.name user) (Strategy.name server) trial
+             (match outcome.Outcome.halt_round with
+             | Some r -> string_of_int r
+             | None -> "?"))
+      else None)
 
 let check_viability_finite ?config ?(trials = 3) ~goal ~user_for ~servers t rng
     =
-  let trials = max trials (Goal.num_worlds goal) in
-  let checked = ref 0 in
-  let counterexamples = ref [] in
-  List.iter
-    (fun server ->
-      let user = user_for server in
-      for trial = 1 to trials do
-        incr checked;
-        let trial_rng = Rng.split rng in
-        let config = config_for_trial ?config ~goal trial in
-        let history = Exec.run ~config ~goal ~user ~server trial_rng in
-        let got_positive =
-          List.exists (fun (_, v) -> v = Positive) (verdicts t history)
-        in
-        if not got_positive then
-          counterexamples :=
-            Printf.sprintf
-              "server=%s trial=%d: user %s never received a positive indication"
-              (Strategy.name server) trial (Strategy.name user)
-            :: !counterexamples
-      done)
-    servers;
-  build_report
-    (Printf.sprintf "finite viability of %s for %s" t.name (Goal.name goal))
-    !checked (List.rev !counterexamples)
+  run_trials ~property:"finite viability" ?config ~trials ~goal
+    ~cases:(designated user_for servers) t rng
+    (fun ~config ~user ~server ~trial trial_rng ->
+      let history = Exec.run ~config ~goal ~user ~server trial_rng in
+      if List.exists (fun (_, v) -> v = Positive) (verdicts t history) then None
+      else
+        Some
+          (Printf.sprintf
+             "server=%s trial=%d: user %s never received a positive indication"
+             (Strategy.name server) trial (Strategy.name user)))

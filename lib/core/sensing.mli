@@ -19,14 +19,14 @@
     - {e Viability}: with every server in the class, some user strategy
       obtains a positive indication.
 
-    {b Incremental sensing.}  Every sensor carries two faces: [sense],
-    the historical whole-view predicate, and a spawnable incremental
-    instance ({!start}/{!observe}/{!verdict}) that absorbs one
-    {!View.event} per round and answers the current verdict in O(1).
-    The two agree on every prefix: [verdict] after observing the events
-    of a view equals [sense] of that view.  The round loop (universal
-    users, {!halt_on_positive}, {!verdicts}) rides the incremental face;
-    [sense] remains for one-shot judgements of an arbitrary view.
+    {b Incremental sensing.}  A sensor is a fold over the user's view:
+    a spawnable instance ({!start}/{!observe}/{!verdict}) absorbs one
+    {!View.event} per round and answers the verdict on the prefix seen
+    so far in O(1).  A predicate on whole views is the special case
+    whose state is the view itself, so this loses nothing; the round
+    loop (universal users, {!halt_on_positive}, {!verdicts}) and every
+    one-shot judgement of a history fold a fresh instance over
+    {!View.fold_events}.
 
     The [check_*] validators below are Monte-Carlo approximations of
     the quantified safety/viability statements over horizon-bounded
@@ -46,11 +46,7 @@ type state
     {!tolerant}'s ring buffer always has), so a state must not be reused
     after it is stepped: keep only the value {!observe} returns. *)
 
-type t = {
-  name : string;
-  sense : View.t -> verdict;  (** whole-view verdict *)
-  spawn : unit -> state;  (** fresh incremental instance *)
-}
+type t = { name : string; spawn : unit -> state  (** fresh instance *) }
 
 val start : t -> state
 (** Fresh instance; its verdict is the empty-view verdict. *)
@@ -58,32 +54,23 @@ val start : t -> state
 val observe : state -> View.event -> state
 (** Absorb one round's event.  Updates the state in place and returns
     it, so the argument must not be reused afterwards.  O(1) for the
-    native constructors below; for {!make}-based sensors it costs one
-    [sense] call (on the view extended so far), the historical
-    per-round price. *)
+    constructors below. *)
 
 val verdict : state -> verdict
 (** Verdict on the prefix observed so far — O(1), no re-evaluation. *)
-
-val make : name:string -> (View.t -> verdict) -> t
-(** Compatibility constructor from a whole-view function.  The spawned
-    instance accumulates the view and calls [sense] once per observed
-    event — same call pattern (and rng-draw sequence, for effectful
-    sensors) as the historical engine. *)
 
 val incremental :
   name:string ->
   init:(unit -> 's * verdict) ->
   step:('s -> View.event -> 's * verdict) ->
   t
-(** Native incremental sensor: [init] yields the state and empty-view
-    verdict, [step] absorbs one event.  The derived [sense] replays the
-    view's events through [step]. *)
+(** Sensor from a fold: [init] yields the state and empty-view verdict,
+    [step] absorbs one event. *)
 
 val of_latest : name:string -> empty:bool -> (View.event -> bool) -> t
 (** Sensor that judges only the latest event ([true] maps to
     [Positive]); [empty] is the verdict (as a bool) on the empty view.
-    O(1) per round and per [sense] call. *)
+    O(1) per round. *)
 
 val of_recent : name:string -> window:int -> (View.event -> bool) -> t
 (** [Positive] iff some event among the last [window] satisfies the
@@ -92,12 +79,6 @@ val of_recent : name:string -> window:int -> (View.event -> bool) -> t
     @raise Invalid_argument unless [window >= 1]. *)
 
 val constant : verdict -> t
-
-val of_predicate : name:string -> (View.t -> bool) -> t
-(** [true] maps to [Positive].  Whole-view: the spawned instance costs
-    one predicate call per round (see {!make}); prefer {!of_latest} /
-    {!of_recent} / {!incremental} when the predicate has an O(1)
-    incremental form. *)
 
 val verdicts : t -> History.t -> (int * verdict) list
 (** The indication at every round of a history (round, verdict) — a
@@ -118,22 +99,21 @@ val tolerant : window:int -> threshold:int -> t -> t
     finite-goal halting (there, flipping Negative to Positive is the
     unsafe direction).
 
-    The incremental instance keeps a ring buffer of the last [window]
-    raw verdicts plus a running negative count, so each round costs one
-    base-sensor observation and O(1) bookkeeping — the per-round price
-    no longer grows with the view.  The whole-view [sense] closure
-    retains the historical implementation (re-sensing up to [window]
-    prefixes via {!View.drop_latest}), so one-shot calls on arbitrary
-    views behave exactly as before.  When tracing is on, each raw
-    negative that the window masks to [Positive] emits a {!Trace.Sense}
-    event whose sensor name carries a ["/mask"] suffix ([clock] = raw
-    negatives in the window, [patience] = [threshold]).
+    Each instance keeps a ring buffer of the last [window] raw verdicts
+    plus a running negative count, so each round costs one base-sensor
+    observation and O(1) bookkeeping — the per-round price does not
+    grow with the view.  When tracing is on, each raw negative that the
+    window masks to [Positive] emits a {!Trace.Sense} event whose sensor
+    name carries a ["/mask"] suffix ([clock] = raw negatives in the
+    window, [patience] = [threshold]).
     @raise Invalid_argument unless [1 <= threshold <= window]. *)
 
 val corrupt_unsafe :
   flip_to_positive:float -> Goalcom_prelude.Rng.t -> t -> t
 (** Ablation helper: with the given probability a [Negative] indication
-    is reported as [Positive] — breaking safety while keeping viability. *)
+    is reported as [Positive] — breaking safety while keeping viability.
+    Draws from the generator once per [Negative] round, and for the
+    empty view only when that verdict is read. *)
 
 val corrupt_unviable : t -> t
 (** Ablation helper: all indications become [Negative] — trivially safe

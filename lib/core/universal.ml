@@ -297,8 +297,11 @@ let finite_par ?schedule ?(max_slots = 64) ?jobs ?pool ?config ~enum ~sensing
       let history = Exec.run ~config ~goal ~user ~server rngs.(i) in
       if cancelled () then None
       else begin
-        (if sensing.Sensing.sense (View.of_history history) = Sensing.Positive
-         then
+        let sensed =
+          View.fold_events history ~init:(Sensing.start sensing)
+            ~f:Sensing.observe
+        in
+        (if Sensing.verdict sensed = Sensing.Positive then
            let rec lower () =
              let cur = Atomic.get best in
              if i < cur && not (Atomic.compare_and_set best cur i) then

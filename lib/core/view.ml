@@ -1,5 +1,3 @@
-open Goalcom_prelude
-
 type event = {
   round : int;
   from_server : Msg.t;
@@ -18,24 +16,6 @@ let of_round (obs : Io.User.obs) (act : Io.User.act) =
     to_world = act.to_world;
     halted = false;
   }
-
-(* Events most recent first. *)
-type t = { rev : event list; len : int }
-
-let empty = { rev = []; len = 0 }
-let extend t e = { rev = e :: t.rev; len = t.len + 1 }
-let length t = t.len
-let events t = List.rev t.rev
-let events_rev t = t.rev
-let latest t = match t.rev with [] -> None | e :: _ -> Some e
-let last_n n t = List.rev (Listx.take n t.rev)
-
-let drop_latest k t =
-  if k <= 0 then t
-  else begin
-    let rec go k rev = if k = 0 then rev else match rev with [] -> [] | _ :: rest -> go (k - 1) rest in
-    { rev = go k t.rev; len = max 0 (t.len - k) }
-  end
 
 (* NOTE on timing: the messages a user *received* in round r are the ones
    emitted in round r-1.  The view event for round r therefore pairs the
@@ -58,13 +38,3 @@ let fold_events h ~init ~f =
         (f acc e, r.server_to_user, r.world_to_user))
   in
   acc
-
-let of_history h = fold_events h ~init:empty ~f:extend
-
-let prefixes h =
-  let _, acc =
-    fold_events h ~init:(empty, []) ~f:(fun (view, acc) e ->
-        let view = extend view e in
-        (view, view :: acc))
-  in
-  List.rev acc

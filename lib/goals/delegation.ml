@@ -187,7 +187,8 @@ let user_class ~alphabet dialects =
    a satisfying relay, and — until the formula arrives — a buffer of the
    to_world messages sent so far, retro-checked the moment the formula
    is decoded (an assignment relayed before the task was readable still
-   counts, as it does for the whole-view predicate). *)
+   counts).  The world shows the formula in round 2, so a served run
+   buffers at most two messages. *)
 let sensing =
   let satisfies cnf m =
     match Codec.assignment_opt ~num_vars:cnf.Cnf.num_vars m with

@@ -84,3 +84,94 @@ let parser_total ?(limit_s = 1.) ~accepted parse s =
   let dt = Unix.gettimeofday () -. t0 in
   if dt > limit_s then QCheck.Test.fail_reportf "%S took %.3f s" s dt;
   ok
+
+(* --- Oracles: the list forms of views, referees and sensors ---------- *)
+
+(* The user's view as a list of events, most recent first: the
+   whole-view form a sensing predicate reads, rebuilt on
+   [View.fold_events]. *)
+module View_list = struct
+  type t = { rev : View.event list; len : int }
+
+  let empty = { rev = []; len = 0 }
+  let extend t e = { rev = e :: t.rev; len = t.len + 1 }
+  let length t = t.len
+  let events t = List.rev t.rev
+  let events_rev t = t.rev
+  let latest t = match t.rev with [] -> None | e :: _ -> Some e
+  let last_n n t = List.rev (Goalcom_prelude.Listx.take n t.rev)
+
+  (* The view as it was [k] rounds ago. *)
+  let drop_latest k t =
+    let rec go k rev =
+      if k <= 0 then rev else match rev with [] -> [] | _ :: r -> go (k - 1) r
+    in
+    { rev = go k t.rev; len = max 0 (t.len - max 0 k) }
+
+  let of_history h = View.fold_events h ~init:empty ~f:extend
+
+  (* Views after round 1, 2, ..., in order. *)
+  let prefixes h =
+    List.rev
+      (snd
+         (View.fold_events h ~init:(empty, []) ~f:(fun (view, acc) e ->
+              let view = extend view e in
+              (view, view :: acc))))
+end
+
+let verdict_of_bool b = if b then Sensing.Positive else Sensing.Negative
+
+(* A sensor from a whole-view predicate: its state is the view itself,
+   and each round re-applies the predicate to the extended view. *)
+let of_view_predicate ~name p =
+  Sensing.incremental ~name
+    ~init:(fun () -> (View_list.empty, verdict_of_bool (p View_list.empty)))
+    ~step:(fun view e ->
+      let view = View_list.extend view e in
+      (view, verdict_of_bool (p view)))
+
+(* A sensor's verdict on a whole view: a fresh instance folded over the
+   view's events. *)
+let sense sensor view =
+  Sensing.verdict
+    (List.fold_left Sensing.observe (Sensing.start sensor)
+       (View_list.events view))
+
+(* A finite referee deciding the chronological world views (initial
+   first) with a list predicate: the judge keeps the prefix and
+   re-decides it every round. *)
+let finite_pred name decide =
+  Referee.finite_incremental name
+    ~init:(fun v0 -> ([ v0 ], Referee.verdict_of_bool (decide [ v0 ])))
+    ~step:(fun views v ->
+      let views = v :: views in
+      (views, Referee.verdict_of_bool (decide (List.rev views))))
+
+(* A compact referee judging each prefix with a predicate on its world
+   views, most recent first; the initial view is kept but its zero-round
+   prefix is never judged. *)
+let compact_pred name acceptable =
+  Referee.compact_incremental name
+    ~init:(fun v0 -> ([ v0 ], `Ok))
+    ~step:(fun views v ->
+      let views = v :: views in
+      (views, Referee.verdict_of_bool (acceptable views)))
+
+(* Quadratic reference for [Referee.violations]: every prefix is judged
+   by a fresh judge replayed from the initial world view. *)
+let violations_prefix r h =
+  if Referee.is_finite r then Referee.violations r h
+  else
+    let rounds = history_rounds h in
+    let v0 = History.initial_world_view h in
+    List.filteri
+      (fun i _ ->
+        let j, _ = Referee.start r v0 in
+        let verdict = ref `Ok in
+        List.iteri
+          (fun k (round : History.Round.t) ->
+            if k <= i then verdict := Referee.advance j round.world_view)
+          rounds;
+        !verdict = `Violation)
+      rounds
+    |> List.map (fun (round : History.Round.t) -> round.index)

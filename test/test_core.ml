@@ -3,6 +3,7 @@
 
 open Goalcom
 open Goalcom_prelude
+module View_list = Helpers.View_list
 
 (* Msg *)
 
@@ -97,7 +98,7 @@ let echo_goal =
   Goal.make ~name:"echo"
     ~worlds:[ echo_world ]
     ~referee:
-      (Referee.finite "heard-7" (fun views -> List.mem (Msg.Text "done") views))
+      (Helpers.finite_pred "heard-7" (fun views -> List.mem (Msg.Text "done") views))
 
 let send7_and_halt =
   Strategy.make ~name:"send7"
@@ -217,9 +218,9 @@ let test_history_validation () =
 
 let test_view_projection () =
   let h = make_history () in
-  let v = View.of_history h in
-  Alcotest.(check int) "one event per round" (History.length h) (View.length v);
-  let events = View.events v in
+  let v = View_list.of_history h in
+  Alcotest.(check int) "one event per round" (History.length h) (View_list.length v);
+  let events = View_list.events v in
   let first = List.hd events in
   Alcotest.(check int) "round numbering" 1 first.View.round;
   (* The user received silence in round 1 (nothing was in flight). *)
@@ -234,19 +235,19 @@ let test_view_projection () =
 
 let test_view_prefixes_consistent () =
   let h = make_history () in
-  let prefixes = View.prefixes h in
+  let prefixes = View_list.prefixes h in
   Alcotest.(check int) "count" (History.length h) (List.length prefixes);
   List.iteri
-    (fun i v -> Alcotest.(check int) "length" (i + 1) (View.length v))
+    (fun i v -> Alcotest.(check int) "length" (i + 1) (View_list.length v))
     prefixes;
-  let full = View.of_history h in
+  let full = View_list.of_history h in
   Alcotest.(check bool) "last prefix = full view" true
-    (View.events (Listx.last prefixes) = View.events full)
+    (View_list.events (Listx.last prefixes) = View_list.events full)
 
 let test_view_last_n () =
   let h = make_history () in
-  let v = View.of_history h in
-  let last2 = View.last_n 2 v in
+  let v = View_list.of_history h in
+  let last2 = View_list.last_n 2 v in
   Alcotest.(check int) "two" 2 (List.length last2);
   Alcotest.(check bool) "chronological" true
     ((List.hd last2).View.round < (List.nth last2 1).View.round)
@@ -254,14 +255,14 @@ let test_view_last_n () =
 (* Referee / Outcome *)
 
 let test_referee_finite () =
-  let r = Referee.finite "has-3" (fun views -> List.mem (Msg.Int 3) views) in
+  let r = Helpers.finite_pred "has-3" (fun views -> List.mem (Msg.Int 3) views) in
   Alcotest.(check bool) "finite" true (Referee.is_finite r);
   Alcotest.(check string) "name" "has-3" (Referee.name r)
 
 let test_referee_compact_violations () =
   (* Compact referee: prefix acceptable iff current view is >= 0. *)
   let r =
-    Referee.compact "non-negative" (fun views_rev ->
+    Helpers.compact_pred "non-negative" (fun views_rev ->
         match views_rev with Msg.Int n :: _ -> n >= 0 | _ -> true)
   in
   let rounds =
@@ -285,7 +286,7 @@ let test_referee_compact_violations () =
 
 let test_outcome_compact_tail_window () =
   let referee =
-    Referee.compact "non-negative" (fun views_rev ->
+    Helpers.compact_pred "non-negative" (fun views_rev ->
         match views_rev with Msg.Int n :: _ -> n >= 0 | _ -> true)
   in
   let world_of_values values =
@@ -319,7 +320,7 @@ let test_goal_worlds () =
   let g =
     Goal.make ~name:"multi"
       ~worlds:[ echo_world; echo_world; echo_world ]
-      ~referee:(Referee.finite "t" (fun _ -> true))
+      ~referee:(Helpers.finite_pred "t" (fun _ -> true))
   in
   Alcotest.(check int) "num worlds" 3 (Goal.num_worlds g);
   Alcotest.(check string) "choice cycles" (World.name (Goal.world ~choice:4 g))
@@ -327,7 +328,7 @@ let test_goal_worlds () =
   Alcotest.check_raises "empty" (Invalid_argument "Goal.make: no worlds")
     (fun () ->
       ignore
-        (Goal.make ~name:"x" ~worlds:[] ~referee:(Referee.finite "t" (fun _ -> true))))
+        (Goal.make ~name:"x" ~worlds:[] ~referee:(Helpers.finite_pred "t" (fun _ -> true))))
 
 let test_exec_config_validation () =
   Alcotest.check_raises "horizon"

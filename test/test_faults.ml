@@ -9,6 +9,7 @@ open Goalcom_prelude
 open Goalcom_automata
 open Goalcom_goals
 open Goalcom_faults
+module View_list = Helpers.View_list
 
 let alphabet = 4
 let dialects = Dialect.enumerate_rotations ~size:alphabet
@@ -318,7 +319,7 @@ let magic_goal k =
   Goal.make
     ~name:(Printf.sprintf "magic-%d" k)
     ~worlds:[ magic_world k ]
-    ~referee:(Referee.finite "heard" (fun views -> List.mem (Msg.Text "done") views))
+    ~referee:(Helpers.finite_pred "heard" (fun views -> List.mem (Msg.Text "done") views))
 
 let sender i =
   Strategy.make
@@ -332,10 +333,10 @@ let idle_server =
   Strategy.stateless ~name:"idle" (fun (_ : Io.Server.obs) -> Io.Server.silent)
 
 let done_sensing =
-  Sensing.of_predicate ~name:"done" (fun view ->
+  Helpers.of_view_predicate ~name:"done" (fun view ->
       List.exists
         (fun e -> e.View.from_world = Msg.Text "done")
-        (View.events_rev view))
+        (View_list.events_rev view))
 
 let test_finite_checkpoint_resumes_schedule () =
   let cp = Universal.new_checkpoint () in
@@ -382,14 +383,14 @@ let compact_goal k =
     ~name:(Printf.sprintf "compact-magic-%d" k)
     ~worlds:[ compact_world k ]
     ~referee:
-      (Referee.compact "streak-alive" (fun views_rev ->
+      (Helpers.compact_pred "streak-alive" (fun views_rev ->
            match views_rev with
            | Msg.Int streak :: rest -> streak > 0 || List.length rest < 5
            | _ -> true))
 
 let streak_sensing =
-  Sensing.of_predicate ~name:"streak-alive" (fun view ->
-      match View.latest view with
+  Helpers.of_view_predicate ~name:"streak-alive" (fun view ->
+      match View_list.latest view with
       | Some { View.from_world = Msg.Int streak; _ } -> streak > 0
       | Some _ -> false
       | None -> true)
@@ -501,13 +502,13 @@ let event ~round from_world =
 
 let view_of_worlds ws =
   List.fold_left
-    (fun (v, r) w -> (View.extend v (event ~round:r w), r + 1))
-    (View.empty, 1) ws
+    (fun (v, r) w -> (View_list.extend v (event ~round:r w), r + 1))
+    (View_list.empty, 1) ws
   |> fst
 
 let bad_latest =
-  Sensing.of_predicate ~name:"latest-ok" (fun view ->
-      match View.latest view with
+  Helpers.of_view_predicate ~name:"latest-ok" (fun view ->
+      match View_list.latest view with
       | Some { View.from_world = Msg.Int 0; _ } -> false
       | _ -> true)
 
@@ -522,13 +523,13 @@ let test_tolerant_filters_transients () =
   (* One bad round in the window: filtered. *)
   let blip = view_of_worlds [ Msg.Int 1; Msg.Int 1; Msg.Int 0 ] in
   Alcotest.check verdict_t "raw verdict negative" Sensing.Negative
-    (bad_latest.Sensing.sense blip);
+    (Helpers.sense bad_latest blip);
   Alcotest.check verdict_t "single blip tolerated" Sensing.Positive
-    (tol.Sensing.sense blip);
+    (Helpers.sense tol blip);
   (* Two bad rounds in the window: reported. *)
   let streaky = view_of_worlds [ Msg.Int 1; Msg.Int 0; Msg.Int 0 ] in
   Alcotest.check verdict_t "persistent failure reported" Sensing.Negative
-    (tol.Sensing.sense streaky)
+    (Helpers.sense tol streaky)
 
 let test_tolerant_1_of_1_is_identity () =
   let tol = Sensing.tolerant ~window:1 ~threshold:1 bad_latest in
@@ -536,7 +537,7 @@ let test_tolerant_1_of_1_is_identity () =
     (fun ws ->
       let v = view_of_worlds ws in
       Alcotest.check verdict_t "agrees with base"
-        (bad_latest.Sensing.sense v) (tol.Sensing.sense v))
+        (Helpers.sense bad_latest v) (Helpers.sense tol v))
     [ [ Msg.Int 0 ]; [ Msg.Int 1 ]; [ Msg.Int 0; Msg.Int 1 ]; [ Msg.Int 1; Msg.Int 0 ] ]
 
 let test_tolerant_validation () =

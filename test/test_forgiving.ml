@@ -83,7 +83,7 @@ let test_checker_catches_unforgiving_goal () =
   in
   let goal =
     Goal.make ~name:"fragile" ~worlds:[ world ]
-      ~referee:(Referee.finite "done" (fun views -> List.mem (Msg.Text "done") views))
+      ~referee:(Helpers.finite_pred "done" (fun views -> List.mem (Msg.Text "done") views))
   in
   let rescuer =
     Strategy.make ~name:"send7-halt"

@@ -16,7 +16,7 @@ let world =
 
 let goal =
   Goal.make ~name:"toy" ~worlds:[ world ]
-    ~referee:(Referee.finite "done" (fun views -> List.mem (Msg.Text "done") views))
+    ~referee:(Helpers.finite_pred "done" (fun views -> List.mem (Msg.Text "done") views))
 
 let winner =
   Strategy.make ~name:"winner"

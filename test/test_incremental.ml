@@ -3,11 +3,11 @@
    The O(n) folds ([Referee.violations], [Sensing.verdicts]) replaced a
    quadratic prefix re-evaluation; the refactor's contract is that they
    agree with the legacy evaluation prefix for prefix, on arbitrary
-   histories.  The quadratic oracle is kept in the library as
-   [Referee.violations_prefix]; the sensing oracle is each sensor's
-   whole-view [sense] face applied to every [View.prefixes] element,
-   plus [Sensing.make]-based reference twins of the native
-   constructors. *)
+   histories.  The oracles live in [Helpers]: the quadratic
+   [violations_prefix], list-predicate referees ([compact_pred],
+   [finite_pred]) and whole-view sensor twins ([of_view_predicate]);
+   each sensor is also checked against a whole-view reference function
+   applied to every [View_list.prefixes] element. *)
 
 open Goalcom
 open Goalcom_prelude
@@ -75,10 +75,9 @@ let hk_arb = QCheck.make QCheck.Gen.(pair history_gen k_gen)
 
 (* --- referees: incremental folds vs the quadratic prefix oracle --- *)
 
-(* Legacy list-predicate referee with a genuinely prefix-dependent
-   predicate (a count over the whole most-recent-first list): the
-   [Compact_pred] adapter inside [violations] must reproduce the
-   one-predicate-call-per-prefix results exactly. *)
+(* List-predicate referee with a genuinely prefix-dependent predicate (a
+   count over the whole most-recent-first list): the single fold inside
+   [violations] must reproduce the judge-every-prefix results exactly. *)
 let prop_compact_legacy_fold_eq_prefix =
   QCheck.Test.make ~count
     ~name:"Referee: legacy compact fold = prefix oracle (list predicate)"
@@ -87,8 +86,8 @@ let prop_compact_legacy_fold_eq_prefix =
       let acceptable views =
         Listx.count (fun v -> not (view_pred k v)) views <= k
       in
-      let r = Referee.compact "legacy-count" acceptable in
-      Referee.violations r h = Referee.violations_prefix r h)
+      let r = Helpers.compact_pred "legacy-count" acceptable in
+      Referee.violations r h = Helpers.violations_prefix r h)
 
 (* Native incremental referee vs its legacy twin: stateless head check. *)
 let prop_incr_stateless_eq_legacy =
@@ -101,14 +100,14 @@ let prop_incr_stateless_eq_legacy =
           ~step:(fun () v -> ((), Referee.verdict_of_bool (view_pred k v)))
       in
       let legacy =
-        Referee.compact "legacy-head" (function
+        Helpers.compact_pred "legacy-head" (function
           | v :: _ -> view_pred k v
           | [] -> true)
       in
       let vs = Referee.violations incr h in
       vs = Referee.violations legacy h
-      && vs = Referee.violations_prefix legacy h
-      && vs = Referee.violations_prefix incr h)
+      && vs = Helpers.violations_prefix legacy h
+      && vs = Helpers.violations_prefix incr h)
 
 (* Native incremental referee vs its legacy twin: stateful count over
    the whole prefix (including the initial world view). *)
@@ -125,12 +124,12 @@ let prop_incr_stateful_eq_legacy =
             (c, Referee.verdict_of_bool (c <= k)))
       in
       let legacy =
-        Referee.compact "legacy-count" (fun views ->
+        Helpers.compact_pred "legacy-count" (fun views ->
             Listx.count bad views <= k)
       in
       let vs = Referee.violations incr h in
       vs = Referee.violations legacy h
-      && vs = Referee.violations_prefix legacy h)
+      && vs = Helpers.violations_prefix legacy h)
 
 (* Violation lists are sorted round indices within 1..length. *)
 let prop_violations_sorted_bounded =
@@ -147,21 +146,21 @@ let prop_violations_sorted_bounded =
       && List.sort compare vs = vs)
 
 (* finite_exists = List.exists over the world views, and agrees with a
-   legacy [Referee.finite] twin. *)
+   list-predicate twin. *)
 let prop_finite_exists_eq_list_exists =
   QCheck.Test.make ~count ~name:"Referee: finite_exists = List.exists"
     hk_arb
     (fun (h, k) ->
       let p v = not (view_pred k v) in
       let incr = Referee.finite_exists "seen-bad" p in
-      let legacy = Referee.finite "seen-bad-legacy" (List.exists p) in
+      let legacy = Helpers.finite_pred "seen-bad-legacy" (List.exists p) in
       let expected = List.exists p (History.world_views h) in
       Referee.decide_finite incr h = expected
       && Referee.decide_finite legacy h = expected
       && Referee.violations incr h
          = (if expected then [] else [ History.length h ]))
 
-(* Stateful finite_incremental vs its Finite_pred twin. *)
+(* Stateful finite_incremental vs its list-predicate twin. *)
 let prop_finite_incremental_eq_legacy =
   QCheck.Test.make ~count
     ~name:"Referee: finite_incremental (stateful) = legacy twin" hk_arb
@@ -177,7 +176,7 @@ let prop_finite_incremental_eq_legacy =
             (c, Referee.verdict_of_bool (c mod 2 = 0)))
       in
       let legacy =
-        Referee.finite "count-even-legacy" (fun views ->
+        Helpers.finite_pred "count-even-legacy" (fun views ->
             Listx.count bad views mod 2 = 0)
       in
       Referee.decide_finite incr h = Referee.decide_finite legacy h)
@@ -192,26 +191,49 @@ let prop_decider_eq_exists =
       Referee.decider (Referee.finite_exists "seen" p) views
       = List.exists p views)
 
-(* --- sensing: incremental face vs the whole-view face --- *)
+(* --- sensing: incremental instances vs whole-view references --- *)
 
 let event_pred k (e : View.event) = not (view_pred k e.View.from_world)
 
-(* The library-wide sensing contract: the verdict stream of the
-   incremental face equals the whole-view [sense] face applied to every
-   prefix of the projected view.  For [tolerant] the sense face is the
-   legacy drop_latest re-evaluation, so this is exactly
-   incremental-vs-legacy. *)
-let sense_face_agrees sensor h =
+module VL = Helpers.View_list
+
+(* The library-wide sensing contract: the verdict stream of a sensor
+   equals a whole-view reference function applied to every prefix of
+   the projected view. *)
+let sense_face_agrees sensor reference h =
   List.map snd (Sensing.verdicts sensor h)
-  = List.map sensor.Sensing.sense (View.prefixes h)
+  = List.map
+      (fun view -> if reference view then Sensing.Positive else Sensing.Negative)
+      (VL.prefixes h)
+
+let latest_reference ~empty k view =
+  match VL.latest view with None -> empty | Some e -> event_pred k e
+
+let recent_reference ~window k view =
+  List.exists (event_pred k) (Listx.take window (VL.events_rev view))
+
+let few_negs_reference k view =
+  Listx.count (fun e -> not (event_pred k e)) (VL.events view) <= k
+
+(* Tolerant sensing on a whole view, re-sensing the base on up to
+   [window] recent prefixes: Negative iff at least [threshold] of them
+   are Negative. *)
+let tolerant_reference ~window ~threshold base view =
+  let depth = min window (VL.length view) in
+  let negs = ref 0 in
+  for k = 0 to depth - 1 do
+    if not (base (VL.drop_latest k view)) then incr negs
+  done;
+  !negs < threshold
 
 let prop_of_latest_face =
   QCheck.Test.make ~count ~name:"Sensing: of_latest incremental = sense"
     hk_arb
     (fun (h, k) ->
+      let empty = k mod 2 = 0 in
       sense_face_agrees
-        (Sensing.of_latest ~name:"latest" ~empty:(k mod 2 = 0) (event_pred k))
-        h)
+        (Sensing.of_latest ~name:"latest" ~empty (event_pred k))
+        (latest_reference ~empty k) h)
 
 let prop_of_recent_face =
   QCheck.Test.make ~count ~name:"Sensing: of_recent incremental = sense"
@@ -219,7 +241,7 @@ let prop_of_recent_face =
     (fun (h, k, window) ->
       sense_face_agrees
         (Sensing.of_recent ~name:"recent" ~window (event_pred k))
-        h)
+        (recent_reference ~window k) h)
 
 let prop_incremental_face =
   QCheck.Test.make ~count
@@ -234,13 +256,9 @@ let prop_incremental_face =
             (negs, if negs <= k then Sensing.Positive else Sensing.Negative))
       in
       let twin =
-        Sensing.make ~name:"few-negs-twin" (fun view ->
-            let negs =
-              Listx.count (fun e -> not (event_pred k e)) (View.events view)
-            in
-            if negs <= k then Sensing.Positive else Sensing.Negative)
+        Helpers.of_view_predicate ~name:"few-negs-twin" (few_negs_reference k)
       in
-      sense_face_agrees incr h
+      sense_face_agrees incr (few_negs_reference k) h
       && Sensing.verdicts incr h = Sensing.verdicts twin h)
 
 let prop_of_latest_eq_make_twin =
@@ -251,11 +269,8 @@ let prop_of_latest_eq_make_twin =
         Sensing.of_latest ~name:"latest" ~empty (event_pred k)
       in
       let twin =
-        Sensing.make ~name:"latest-twin" (fun view ->
-            match View.latest view with
-            | None -> if empty then Sensing.Positive else Sensing.Negative
-            | Some e ->
-                if event_pred k e then Sensing.Positive else Sensing.Negative)
+        Helpers.of_view_predicate ~name:"latest-twin"
+          (latest_reference ~empty k)
       in
       Sensing.verdicts native h = Sensing.verdicts twin h)
 
@@ -265,17 +280,13 @@ let prop_of_recent_eq_make_twin =
     (fun (h, k, window) ->
       let native = Sensing.of_recent ~name:"recent" ~window (event_pred k) in
       let twin =
-        Sensing.make ~name:"recent-twin" (fun view ->
-            if
-              List.exists (event_pred k)
-                (Listx.take window (View.events_rev view))
-            then Sensing.Positive
-            else Sensing.Negative)
+        Helpers.of_view_predicate ~name:"recent-twin"
+          (recent_reference ~window k)
       in
       Sensing.verdicts native h = Sensing.verdicts twin h)
 
-(* Tolerant masking: the ring-buffer face must agree both with the
-   legacy drop_latest sense face (via sense_face_agrees) and with a
+(* Tolerant masking: the ring buffer must agree both with the
+   whole-view re-sensing reference (via sense_face_agrees) and with a
    from-scratch reference computed over the raw verdict stream — the
    masked verdict at position i is Negative iff the last [window] raw
    verdicts up to i contain at least [threshold] negatives. *)
@@ -298,7 +309,10 @@ let prop_tolerant_face_and_reference =
             done;
             if !negs >= threshold then Sensing.Negative else Sensing.Positive)
       in
-      sense_face_agrees tolerant h
+      sense_face_agrees tolerant
+        (tolerant_reference ~window ~threshold
+           (latest_reference ~empty:true k))
+        h
       && List.map snd (Sensing.verdicts tolerant h) = expected)
 
 (* --- ring-buffer edge cases --- *)

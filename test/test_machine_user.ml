@@ -41,7 +41,7 @@ let xor_goal b =
   Goal.make
     ~name:(Printf.sprintf "xor(b=%d)" b)
     ~worlds:[ xor_world b ]
-    ~referee:(Referee.finite "converged" (fun views -> List.mem (Msg.Int 2) views))
+    ~referee:(Helpers.finite_pred "converged" (fun views -> List.mem (Msg.Int 2) views))
 
 let idle_server =
   Strategy.stateless ~name:"idle" (fun (_ : Io.Server.obs) -> Io.Server.silent)
@@ -50,8 +50,8 @@ let read = Machine_user.read_world_int ~cap:3
 let write = Machine_user.write_world_sym
 
 let sensing =
-  Sensing.of_predicate ~name:"done" (fun view ->
-      match View.latest view with
+  Helpers.of_view_predicate ~name:"done" (fun view ->
+      match Helpers.View_list.latest view with
       | Some { View.from_world = Msg.Int 2; _ } -> true
       | Some _ | None -> false)
 

@@ -256,7 +256,7 @@ let echo_world =
 
 let echo_goal =
   Goal.make ~name:"sum" ~worlds:[ echo_world ]
-    ~referee:(Referee.finite "always" (fun _ -> true))
+    ~referee:(Helpers.finite_pred "always" (fun _ -> true))
 
 let chatty =
   Strategy.make ~name:"chatty"
@@ -301,9 +301,9 @@ let prop_view_prefix_lengths =
           ~config:(Exec.config ~horizon ())
           ~goal:echo_goal ~user:chatty ~server:idle_server (Rng.make seed)
       in
-      let prefixes = View.prefixes h in
+      let prefixes = Helpers.View_list.prefixes h in
       List.for_all2
-        (fun v i -> View.length v = i)
+        (fun v i -> Helpers.View_list.length v = i)
         prefixes
         (Listx.range 1 (List.length prefixes + 1)))
 
@@ -312,7 +312,7 @@ let prop_compact_violations_sorted =
     QCheck.(pair (int_bound 1_000_000) (1 -- 60))
     (fun (seed, horizon) ->
       let referee =
-        Referee.compact "even" (fun views_rev ->
+        Helpers.compact_pred "even" (fun views_rev ->
             match views_rev with Msg.Int n :: _ -> n mod 2 = 0 | _ -> true)
       in
       let goal = Goal.make ~name:"g" ~worlds:[ echo_world ] ~referee in
@@ -648,7 +648,7 @@ let prop_multi_session_count =
     (fun (seed, (session_length, k)) ->
       let base =
         Goal.make ~name:"never" ~worlds:[ echo_world ]
-          ~referee:(Referee.finite "no" (fun _ -> false))
+          ~referee:(Helpers.finite_pred "no" (fun _ -> false))
       in
       let goal = Multi_session.goal ~session_length base in
       let horizon = (session_length * k) + 3 in

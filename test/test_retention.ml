@@ -76,7 +76,7 @@ let control_spec i ~horizon : Engine.spec =
 let legacy_finite (g : Goal.t) =
   Goal.make ~name:g.name ~worlds:g.worlds
     ~referee:
-      (Referee.finite
+      (Helpers.finite_pred
          (Referee.name g.referee ^ "/list")
          (Referee.decider g.referee))
 
@@ -84,7 +84,7 @@ let legacy_compact (g : Goal.t) =
   let bound = Control.default_params.bound in
   Goal.make ~name:g.name ~worlds:g.worlds
     ~referee:
-      (Referee.compact "plant-in-range/list" (function
+      (Helpers.compact_pred "plant-in-range/list" (function
         | Msg.Int plant :: _ -> abs plant <= bound
         | _ -> false))
 
@@ -262,9 +262,9 @@ let referees =
       ~step:(fun sum v ->
         let sum = sum + match v with Msg.Int n -> n | _ -> 0 in
         (sum, Referee.verdict_of_bool (sum mod 4 <> 3)));
-    Referee.compact "not-3/list" (function v :: _ -> not (is_int 3 v) | [] -> true);
+    Helpers.compact_pred "not-3/list" (function v :: _ -> not (is_int 3 v) | [] -> true);
     Referee.finite_exists "saw-0" (is_int 0);
-    Referee.finite "saw-0/list" (List.exists (is_int 0));
+    Helpers.finite_pred "saw-0/list" (List.exists (is_int 0));
   |]
 
 let prop_live_judge_matches_judge =
@@ -341,6 +341,141 @@ let test_summary_has_no_history () =
   Alcotest.(check bool) "summary of a Full run" true
     (raises (fun () -> Exec.Stepper.summary full))
 
+(* --- bounded judge and sensor state ------------------------------------ *)
+
+(* A served session lives as long as its horizon, so what a referee's
+   judge or a sensor keeps must not grow with the rounds it has seen.
+   Each state is measured twice: after a random stream of 100 events,
+   and after 9,900 other random events followed by the same 100.  A
+   state that holds only bounded memory of the recent past is then the
+   same size in both; one that keeps what it saw is not. *)
+
+let random_msg rng =
+  let ints n = List.init (Rng.int rng n) (fun _ -> Rng.int rng 8) in
+  match Rng.int rng 9 with
+  | 0 -> Msg.Silence
+  | 1 -> Msg.Sym (Rng.int rng 8)
+  | 2 -> Msg.Int (Rng.int rng 41 - 20)
+  | 3 -> Msg.Text (Rng.pick rng [ "a"; "ok"; "done"; "err"; "open"; "task" ])
+  | 4 -> Msg.Pair (Msg.Sym (Rng.int rng 8), Msg.Int (Rng.int rng 10))
+  | 5 -> Codec.ints (ints 5)
+  | 6 -> Codec.pair_of_ints (ints 4) (ints 4)
+  | 7 -> Msg.Pair (Msg.Text "task", Codec.ints (ints 4))
+  | _ -> Msg.Pair (Msg.Sym (Rng.int rng 8), Codec.ints (ints 5))
+
+let random_event rng round =
+  {
+    View.round;
+    from_server = random_msg rng;
+    from_world = random_msg rng;
+    to_server = random_msg rng;
+    to_world = random_msg rng;
+    halted = false;
+  }
+
+let short_n = 100
+let long_n = 10_000
+
+(* [f k rng] is the k-th item (1-based) of a stream: the short stream is
+   items 9,901..10,000 drawn from one seed, the long one prepends items
+   1..9,900 drawn from another. *)
+let streams f =
+  let draw seed first n =
+    let rng = Rng.make seed in
+    List.init n (fun i -> f (first + i) rng)
+  in
+  let tail = draw 17 (long_n - short_n + 1) short_n in
+  (tail, draw 29 1 (long_n - short_n) @ tail)
+
+let sensor_words sensor events =
+  let st = List.fold_left Sensing.observe (Sensing.start sensor) events in
+  ignore (Sensing.verdict st);
+  Obj.reachable_words (Obj.repr st)
+
+let judge_words referee views =
+  let j, _ = Referee.start referee (Msg.Int 0) in
+  List.iter (fun v -> ignore (Referee.advance j v)) views;
+  Obj.reachable_words (Obj.repr j)
+
+let net_scenario = Goalcom_net.Topo.diamond ~payload_alphabet:4 ~payload:2
+let forward_scenario = Goalcom_net.Forward.scenario ~payload_alphabet:4 [ 2; 0; 3; 1 ]
+let maze_scenario = Maze.scenario ~width:8 ~height:8 ~start:(0, 0) ~target:(5, 4) ()
+
+(* Delegation's sensor keeps each message the user sent the world until
+   the task's formula arrives (the formula may come after the answer);
+   its world shows the formula in round 2, so a served run keeps at
+   most two.  Random events never carry a formula, so it is measured
+   below with the formula in the first event instead. *)
+let unbounded_until_formula = [ Delegation.sensing.Sensing.name ]
+
+let sensors () =
+  [
+    Control.sensing ();
+    Counting.sensing;
+    Delegation.sensing;
+    Maze.sensing;
+    Password.sensing;
+    Prediction.sensing;
+    Printing.sensing;
+    Transfer.goal_sensing;
+    Transfer.error_sensing;
+    Goalcom_net.Forward.sensing;
+    Goalcom_net.Mac.sensing;
+    Goalcom_net.Topo.sensing;
+    Multi_session.sensing;
+    Sensing.tolerant ~window:8 ~threshold:3 (Control.sensing ());
+    Sensing.tolerant ~window:4 ~threshold:2 Printing.sensing;
+  ]
+
+let goals () =
+  let alphabet = 4 in
+  [
+    Control.goal ~alphabet ();
+    Counting.goal ~alphabet ();
+    Delegation.goal ~alphabet ();
+    Maze.goal ~scenarios:[ maze_scenario ] ~alphabet ();
+    Password.goal ();
+    Prediction.goal ~alphabet ();
+    Printing.goal ~alphabet ();
+    Transfer.goal ~alphabet ();
+    Goalcom_net.Forward.goal ~scenarios:[ forward_scenario ] ~alphabet ();
+    Goalcom_net.Mac.goal ~payload_alphabet:4 [ 1; 2; 3 ];
+    Goalcom_net.Topo.goal ~scenarios:[ net_scenario ] ~alphabet ();
+    Multi_session.goal ~session_length:30 (Printing.goal ~alphabet ());
+  ]
+
+let test_sensor_state_bounded () =
+  let short, long = streams (fun round rng -> random_event rng round) in
+  List.iter
+    (fun (sensor : Sensing.t) ->
+      if not (List.mem sensor.name unbounded_until_formula) then
+        Alcotest.(check int)
+          (sensor.name ^ ": words after 100 = after 10,000 events")
+          (sensor_words sensor short) (sensor_words sensor long))
+    (sensors ())
+
+let test_delegation_bounded_after_formula () =
+  let cnf = Goalcom_sat.Cnf.make ~num_vars:3 [ [ 1; -2 ]; [ 2; 3 ] ] in
+  let formula = Msg.Pair (Msg.Text "task", Codec.cnf cnf) in
+  let short, long = streams (fun round rng -> random_event rng round) in
+  let with_formula = function
+    | e :: rest -> { e with View.from_world = formula } :: rest
+    | [] -> []
+  in
+  let short = with_formula short and long = with_formula long in
+  Alcotest.(check int) "words after 100 = after 10,000 events"
+    (sensor_words Delegation.sensing short)
+    (sensor_words Delegation.sensing long)
+
+let test_judge_state_bounded () =
+  let short, long = streams (fun _ rng -> random_msg rng) in
+  List.iter
+    (fun (goal : Goal.t) ->
+      Alcotest.(check int)
+        (Goal.name goal ^ ": words after 100 = after 10,000 views")
+        (judge_words goal.referee short) (judge_words goal.referee long))
+    (goals ())
+
 let () =
   Alcotest.run "retention"
     [
@@ -352,5 +487,12 @@ let () =
           Alcotest.test_case "heap flat in the horizon" `Quick
             test_summary_heap_flat;
           Alcotest.test_case "no history" `Quick test_summary_has_no_history;
+        ] );
+      ( "bounded state",
+        [
+          Alcotest.test_case "sensors" `Quick test_sensor_state_bounded;
+          Alcotest.test_case "delegation after its formula" `Quick
+            test_delegation_bounded_after_formula;
+          Alcotest.test_case "judges" `Quick test_judge_state_bounded;
         ] );
     ]

@@ -18,7 +18,7 @@ let world =
 
 let goal =
   Goal.make ~name:"hear7" ~worlds:[ world ]
-    ~referee:(Referee.finite "heard" (fun views -> List.mem (Msg.Text "done") views))
+    ~referee:(Helpers.finite_pred "heard" (fun views -> List.mem (Msg.Text "done") views))
 
 let relay_server =
   Strategy.stateless ~name:"relay" (fun (obs : Io.Server.obs) ->
@@ -33,10 +33,10 @@ let sender n =
     ~step:(fun _rng () (_ : Io.User.obs) -> ((), Io.User.say_server (Msg.Int n)))
 
 let good_sensing =
-  Sensing.of_predicate ~name:"world-done" (fun view ->
+  Helpers.of_view_predicate ~name:"world-done" (fun view ->
       List.exists
         (fun e -> e.View.from_world = Msg.Text "done")
-        (View.events_rev view))
+        (Helpers.View_list.events_rev view))
 
 let run user =
   Exec.run ~config:(Exec.config ~horizon:30 ()) ~goal ~user ~server:relay_server
@@ -67,11 +67,11 @@ let test_negatives_after () =
     (Sensing.negatives_after good_sensing h (History.length h))
 
 let test_constant_and_predicate () =
-  let v = View.empty in
+  let v = Helpers.View_list.empty in
   Alcotest.(check bool) "const pos" true
-    ((Sensing.constant Sensing.Positive).Sensing.sense v = Sensing.Positive);
+    (Helpers.sense (Sensing.constant Sensing.Positive) v = Sensing.Positive);
   Alcotest.(check bool) "const neg" true
-    ((Sensing.constant Sensing.Negative).Sensing.sense v = Sensing.Negative)
+    (Helpers.sense (Sensing.constant Sensing.Negative) v = Sensing.Negative)
 
 let test_corrupt_unviable () =
   let broken = Sensing.corrupt_unviable good_sensing in

@@ -34,7 +34,7 @@ let both_done view =
 
 let goal =
   Goal.make ~name:"mutual-greeting" ~worlds:[ world ]
-    ~referee:(Referee.finite "both-greeted" (fun views -> List.exists both_done views))
+    ~referee:(Helpers.finite_pred "both-greeted" (fun views -> List.exists both_done views))
 
 (* An initiator peer speaking dialect d: greets the counterpart, and
    greets the world once greeted back; halts when the world reports
@@ -98,8 +98,8 @@ let test_universal_peer_adapts () =
   (* Peer A runs the finite universal construction over initiator
      dialects; peer B is a fixed responder with an unknown dialect. *)
   let sensing =
-    Sensing.of_predicate ~name:"both-done" (fun view ->
-        match View.latest view with
+    Helpers.of_view_predicate ~name:"both-done" (fun view ->
+        match Helpers.View_list.latest view with
         | Some e -> both_done e.View.from_world
         | None -> false)
   in

@@ -89,7 +89,7 @@ let compact_goal k =
     ~name:(Printf.sprintf "compact-magic-%d" k)
     ~worlds:[ compact_world k ]
     ~referee:
-      (Referee.compact "streak-alive" (fun views_rev ->
+      (Helpers.compact_pred "streak-alive" (fun views_rev ->
            match views_rev with
            | Msg.Int streak :: rest -> streak > 0 || List.length rest < 5
            | _ -> true))
@@ -106,8 +106,8 @@ let idle_server =
   Strategy.stateless ~name:"idle" (fun (_ : Io.Server.obs) -> Io.Server.silent)
 
 let streak_sensing =
-  Sensing.of_predicate ~name:"streak" (fun view ->
-      match View.latest view with
+  Helpers.of_view_predicate ~name:"streak" (fun view ->
+      match Helpers.View_list.latest view with
       | Some e -> e.View.from_world <> Msg.Int 0
       | None -> false)
 

@@ -65,7 +65,7 @@ let magic_goal k =
   Goal.make
     ~name:(Printf.sprintf "magic-%d" k)
     ~worlds:[ magic_world k ]
-    ~referee:(Referee.finite "heard" (fun views -> List.mem (Msg.Text "done") views))
+    ~referee:(Helpers.finite_pred "heard" (fun views -> List.mem (Msg.Text "done") views))
 
 let sender i =
   Strategy.make
@@ -79,10 +79,10 @@ let idle_server =
 let senders n = Enum.tabulate ~name:"senders" n sender
 
 let done_sensing =
-  Sensing.of_predicate ~name:"done" (fun view ->
+  Helpers.of_view_predicate ~name:"done" (fun view ->
       List.exists
         (fun e -> e.View.from_world = Msg.Text "done")
-        (View.events_rev view))
+        (Helpers.View_list.events_rev view))
 
 (* Universal.finite *)
 
@@ -172,14 +172,14 @@ let compact_goal k =
     ~name:(Printf.sprintf "compact-magic-%d" k)
     ~worlds:[ compact_world k ]
     ~referee:
-      (Referee.compact "streak-alive" (fun views_rev ->
+      (Helpers.compact_pred "streak-alive" (fun views_rev ->
            match views_rev with
            | Msg.Int streak :: rest -> streak > 0 || List.length rest < 5
            | _ -> true))
 
 let streak_sensing =
-  Sensing.of_predicate ~name:"streak-alive" (fun view ->
-      match View.latest view with
+  Helpers.of_view_predicate ~name:"streak-alive" (fun view ->
+      match Helpers.View_list.latest view with
       | Some { View.from_world = Msg.Int streak; _ } -> streak > 0
       | Some _ -> false
       | None -> true)
