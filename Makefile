@@ -19,8 +19,8 @@ check: build test
 # goal's `check` holds and its universal demo achieves), trace smoke +
 # analytics, parallel smoke, chaos smoke, live-stats smoke, golden
 # drift, bench gate, serving-benchmark smoke (with the long_horizon
-# 32 MB and open_ring 100 MB peak-heap guards, the long_horizon 25-word,
-# storm 120-word and open_ring 80-word allocation guards).  Run before
+# 32 MB and open_ring 100 MB peak-heap guards, the long_horizon 2-word,
+# storm 44-word and open_ring 46-word allocation guards).  Run before
 # pushing.
 ci: check
 	dune exec bin/main.exe -- run e17 --jobs 2
@@ -60,14 +60,14 @@ ci: check
 	  echo "$$line" | grep -q '"correct": true' || exit 1; \
 	  if [ $$w = long_horizon ]; then \
 	    echo "$$line" | python3 -c 'import json, sys; mb = json.load(sys.stdin)["metrics"]["peak_heap_mb"]["value"]; print(f"long_horizon peak_heap_mb {mb:.2f} (limit 32)"); sys.exit(mb > 32)' || exit 1; \
-	    echo "$$line" | python3 -c 'import json, sys; w = json.load(sys.stdin)["metrics"]["alloc_words_per_round"]["value"]; print(f"long_horizon alloc_words_per_round {w:.1f} (limit 25)"); sys.exit(w > 25)' || exit 1; \
+	    echo "$$line" | python3 -c 'import json, sys; w = json.load(sys.stdin)["metrics"]["alloc_words_per_round"]["value"]; print(f"long_horizon alloc_words_per_round {w:.2f} (limit 2)"); sys.exit(w > 2)' || exit 1; \
 	  fi; \
 	  if [ $$w = storm ]; then \
-	    echo "$$line" | python3 -c 'import json, sys; w = json.load(sys.stdin)["metrics"]["alloc_words_per_round"]["value"]; print(f"storm alloc_words_per_round {w:.1f} (limit 120)"); sys.exit(w > 120)' || exit 1; \
+	    echo "$$line" | python3 -c 'import json, sys; w = json.load(sys.stdin)["metrics"]["alloc_words_per_round"]["value"]; print(f"storm alloc_words_per_round {w:.1f} (limit 44)"); sys.exit(w > 44)' || exit 1; \
 	  fi; \
 	  if [ $$w = open_ring ]; then \
 	    echo "$$line" | python3 -c 'import json, sys; mb = json.load(sys.stdin)["metrics"]["peak_heap_mb"]["value"]; print(f"open_ring peak_heap_mb {mb:.2f} (limit 100)"); sys.exit(mb > 100)' || exit 1; \
-	    echo "$$line" | python3 -c 'import json, sys; w = json.load(sys.stdin)["metrics"]["alloc_words_per_round"]["value"]; print(f"open_ring alloc_words_per_round {w:.1f} (limit 80)"); sys.exit(w > 80)' || exit 1; \
+	    echo "$$line" | python3 -c 'import json, sys; w = json.load(sys.stdin)["metrics"]["alloc_words_per_round"]["value"]; print(f"open_ring alloc_words_per_round {w:.1f} (limit 46)"); sys.exit(w > 46)' || exit 1; \
 	  fi; \
 	done
 

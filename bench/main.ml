@@ -404,12 +404,77 @@ let write_fault_json rows =
    The tentpole claim of lib/obs is that the no-sink path is free: every
    emission site is a load-and-branch, no event is allocated.  A binary
    cannot contain both the instrumented and the pre-instrumentation
-   engine, so the baseline is a guard-free replica of Exec.run's loop
-   (below) driving the exact same strategies; the replica is checked
-   against Exec.run for bit-identical histories before timing.  On top
-   of the no-sink point we time the attached-sink variants: Trace.null
-   (pure dispatch cost), the binary ring buffer, and JSONL rendering
-   into a Buffer. *)
+   engine, so the baseline is a replica of Exec.Stepper's Full loop
+   (below) with the trace guards removed: the same mutable fields, the
+   same reused obs records and the same History.Builder, driving the
+   exact same strategies (a Full-only replica has no [store] to match
+   on).  The replica is checked against Exec.run for bit-identical
+   histories before timing.  On top of the no-sink point we time the
+   attached-sink variants: Trace.null (pure dispatch cost), the binary
+   ring buffer, and JSONL rendering into a Buffer. *)
+
+type replica = {
+  cfg : Exec.config;
+  user_rng : Rng.t;
+  server_rng : Rng.t;
+  world_rng : Rng.t;
+  user_inst : (Io.User.obs, Io.User.act) Strategy.Instance.t;
+  server_inst : (Io.Server.obs, Io.Server.act) Strategy.Instance.t;
+  world_inst : World.Instance.t;
+  rounds : History.Builder.t;
+  mutable round : int;
+  mutable halted : bool;
+  mutable halt_round : int;
+  mutable drain_left : int;
+  user_obs : Io.User.obs;
+  server_obs : Io.Server.obs;
+  world_obs : Io.World.obs;
+}
+
+let replica_step t =
+  if t.round > t.cfg.Exec.horizon || (t.halted && t.drain_left <= 0) then false
+  else begin
+    let round = t.round in
+    let user_act : Io.User.act =
+      if t.halted then Io.User.halt_act
+      else begin
+        t.user_obs.round <- round;
+        Strategy.Instance.step t.user_rng t.user_inst t.user_obs
+      end
+    in
+    let server_act : Io.Server.act =
+      Strategy.Instance.step t.server_rng t.server_inst t.server_obs
+    in
+    let world_act : Io.World.act =
+      World.Instance.step t.world_rng t.world_inst t.world_obs
+    in
+    let halted' = t.halted || user_act.halt in
+    let world_view = World.Instance.view t.world_inst in
+    History.Builder.add t.rounds
+      {
+        History.Round.index = round;
+        user_to_server = user_act.to_server;
+        user_to_world = user_act.to_world;
+        server_to_user = server_act.to_user;
+        server_to_world = server_act.to_world;
+        world_to_user = world_act.to_user;
+        world_to_server = world_act.to_server;
+        world_view;
+        user_halted = halted';
+      };
+    if halted' && not t.halted then t.halt_round <- round;
+    t.drain_left <- (if t.halted then t.drain_left - 1 else t.cfg.Exec.drain);
+    t.halted <- halted';
+    t.round <- round + 1;
+    let u = t.user_obs and s = t.server_obs and w = t.world_obs in
+    if s.from_user != user_act.to_server then s.from_user <- user_act.to_server;
+    if w.from_user != user_act.to_world then w.from_user <- user_act.to_world;
+    if u.from_server != server_act.to_user then u.from_server <- server_act.to_user;
+    if w.from_server != server_act.to_world then w.from_server <- server_act.to_world;
+    if u.from_world != world_act.to_user then u.from_world <- world_act.to_user;
+    if s.from_world != world_act.to_server then s.from_world <- world_act.to_server;
+    true
+  end
 
 let replica_run ~config ~goal ~user ~server rng =
   let user_rng = Rng.split rng in
@@ -421,49 +486,30 @@ let replica_run ~config ~goal ~user ~server rng =
     World.Instance.create (Goal.world ~choice:config.Exec.world_choice goal)
   in
   let initial_world_view = World.Instance.view world_inst in
-  let rec loop round halted drain_left prev_acts rounds_rev =
-    let (u2s, u2w), (s2u, s2w), (w2u, w2s) = prev_acts in
-    if round > config.Exec.horizon || (halted && drain_left <= 0) then
-      History.make ~initial_world_view (List.rev rounds_rev)
-    else begin
-      let user_act : Io.User.act =
-        if halted then Io.User.halt_act
-        else
-          Strategy.Instance.step user_rng user_inst
-            { Io.User.from_server = s2u; from_world = w2u; round }
-      in
-      let server_act : Io.Server.act =
-        Strategy.Instance.step server_rng server_inst
-          { Io.Server.from_user = u2s; from_world = w2s }
-      in
-      let world_act : Io.World.act =
-        World.Instance.step world_rng world_inst
-          { Io.World.from_user = u2w; from_server = s2w }
-      in
-      let halted' = halted || user_act.halt in
-      let round_record =
-        {
-          History.Round.index = round;
-          user_to_server = user_act.to_server;
-          user_to_world = user_act.to_world;
-          server_to_user = server_act.to_user;
-          server_to_world = server_act.to_world;
-          world_to_user = world_act.to_user;
-          world_to_server = world_act.to_server;
-          world_view = World.Instance.view world_inst;
-          user_halted = halted';
-        }
-      in
-      let drain_left' = if halted then drain_left - 1 else config.Exec.drain in
-      loop (round + 1) halted' drain_left'
-        ( (user_act.to_server, user_act.to_world),
-          (server_act.to_user, server_act.to_world),
-          (world_act.to_user, world_act.to_server) )
-        (round_record :: rounds_rev)
-    end
+  let t =
+    {
+      cfg = config;
+      user_rng;
+      server_rng;
+      world_rng;
+      user_inst;
+      server_inst;
+      world_inst;
+      rounds = History.Builder.create ~initial_world_view;
+      round = 1;
+      halted = false;
+      halt_round = 0;
+      drain_left = config.Exec.drain;
+      user_obs =
+        { Io.User.from_server = Msg.Silence; from_world = Msg.Silence; round = 0 };
+      server_obs = { Io.Server.from_user = Msg.Silence; from_world = Msg.Silence };
+      world_obs = { Io.World.from_user = Msg.Silence; from_server = Msg.Silence };
+    }
   in
-  let silence2 = (Msg.Silence, Msg.Silence) in
-  loop 1 false config.Exec.drain (silence2, silence2, silence2) []
+  while replica_step t do
+    ()
+  done;
+  History.Builder.finish t.rounds
 
 (* The overhead kernel must spend long enough inside the round loop
    that per-round costs dominate run-to-run code-layout noise (several

@@ -13,9 +13,10 @@ module Stepper = struct
   (* One run, unrolled: the recursive loop of [run] turned into a
      mutable state machine so a scheduler can interleave thousands of
      live runs round by round.  Invariants mirror the loop exactly —
-     [round] is the next round to execute, [u2s] .. [w2s] the messages
-     in flight (emitted last round, delivered this round) — so stepping
-     to completion is bit-identical to the recursive loop, events and
+     [round] is the next round to execute, the three obs records (ours,
+     see io.mli) the messages in flight, written straight from the
+     acts (emitted last round, delivered this round) — so stepping to
+     completion is bit-identical to the recursive loop, events and
      randomness included. *)
 
   type retention = Full | Summary
@@ -37,12 +38,9 @@ module Stepper = struct
     mutable halted : bool;
     mutable halt_round : int;  (* 0 = not halted *)
     mutable drain_left : int;
-    mutable u2s : Msg.t;
-    mutable u2w : Msg.t;
-    mutable s2u : Msg.t;
-    mutable s2w : Msg.t;
-    mutable w2u : Msg.t;
-    mutable w2s : Msg.t;
+    user_obs : Io.User.obs;
+    server_obs : Io.Server.obs;
+    world_obs : Io.World.obs;
     mutable finished : bool;
     mutable result : History.t option;  (* [Full] only *)
   }
@@ -82,12 +80,10 @@ module Stepper = struct
       halted = false;
       halt_round = 0;
       drain_left = config.drain;
-      u2s = Msg.Silence;
-      u2w = Msg.Silence;
-      s2u = Msg.Silence;
-      s2w = Msg.Silence;
-      w2u = Msg.Silence;
-      w2s = Msg.Silence;
+      user_obs =
+        { Io.User.from_server = Msg.Silence; from_world = Msg.Silence; round = 0 };
+      server_obs = { Io.Server.from_user = Msg.Silence; from_world = Msg.Silence };
+      world_obs = { Io.World.from_user = Msg.Silence; from_server = Msg.Silence };
       finished = false;
       result = None;
     }
@@ -139,17 +135,16 @@ module Stepper = struct
       end;
       let user_act : Io.User.act =
         if t.halted then Io.User.halt_act
-        else
-          Strategy.Instance.step t.user_rng t.user_inst
-            { Io.User.from_server = t.s2u; from_world = t.w2u; round }
+        else begin
+          t.user_obs.round <- round;
+          Strategy.Instance.step t.user_rng t.user_inst t.user_obs
+        end
       in
       let server_act : Io.Server.act =
-        Strategy.Instance.step t.server_rng t.server_inst
-          { Io.Server.from_user = t.u2s; from_world = t.w2s }
+        Strategy.Instance.step t.server_rng t.server_inst t.server_obs
       in
       let world_act : Io.World.act =
-        World.Instance.step t.world_rng t.world_inst
-          { Io.World.from_user = t.u2w; from_server = t.s2w }
+        World.Instance.step t.world_rng t.world_inst t.world_obs
       in
       let halted' = t.halted || user_act.halt in
       if tracing then begin
@@ -181,12 +176,15 @@ module Stepper = struct
       t.drain_left <- (if t.halted then t.drain_left - 1 else t.cfg.drain);
       t.halted <- halted';
       t.round <- round + 1;
-      t.u2s <- user_act.to_server;
-      t.u2w <- user_act.to_world;
-      t.s2u <- server_act.to_user;
-      t.s2w <- server_act.to_world;
-      t.w2u <- world_act.to_user;
-      t.w2s <- world_act.to_server;
+      (* A store runs the write barrier ([caml_modify]): a channel that
+         repeats last round's message, mostly silence, skips it. *)
+      let u = t.user_obs and s = t.server_obs and w = t.world_obs in
+      if s.from_user != user_act.to_server then s.from_user <- user_act.to_server;
+      if w.from_user != user_act.to_world then w.from_user <- user_act.to_world;
+      if u.from_server != server_act.to_user then u.from_server <- server_act.to_user;
+      if w.from_server != server_act.to_world then w.from_server <- server_act.to_world;
+      if u.from_world != world_act.to_user then u.from_world <- world_act.to_user;
+      if s.from_world != world_act.to_server then s.from_world <- world_act.to_server;
       true
     end
 

@@ -4,13 +4,18 @@
     it in the previous round and emits one message per outgoing channel.
     The system is the two-party asymmetric setting of the paper — a user
     and a server — plus the third entity, the world, that embodies the
-    goal (§2). *)
+    goal (§2).
+
+    {b Who owns an obs.}  The obs a step receives belongs to the
+    stepper ({!Exec.Stepper}), which overwrites it next round: a
+    strategy that needs a field later copies it (messages are
+    immutable), never the record. *)
 
 module User : sig
   type obs = {
-    from_server : Msg.t;
-    from_world : Msg.t;
-    round : int;  (** 1-based round number, for convenience *)
+    mutable from_server : Msg.t;
+    mutable from_world : Msg.t;
+    mutable round : int;  (** 1-based round number, for convenience *)
   }
 
   type act = {
@@ -28,17 +33,13 @@ module User : sig
   val say_server : Msg.t -> act
   val say_world : Msg.t -> act
 
-  val no_obs : obs
-  (** Silence from both parties at round 0: a placeholder for a round
-      not yet observed. *)
-
   val unhalted : act -> act
   (** The act with its halt request cleared; the act itself when it
       makes none. *)
 end
 
 module Server : sig
-  type obs = { from_user : Msg.t; from_world : Msg.t }
+  type obs = { mutable from_user : Msg.t; mutable from_world : Msg.t }
   type act = { to_user : Msg.t; to_world : Msg.t }
 
   val silent : act
@@ -47,7 +48,7 @@ module Server : sig
 end
 
 module World : sig
-  type obs = { from_user : Msg.t; from_server : Msg.t }
+  type obs = { mutable from_user : Msg.t; mutable from_server : Msg.t }
   type act = { to_user : Msg.t; to_server : Msg.t }
 
   val silent : act

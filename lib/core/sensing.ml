@@ -211,9 +211,8 @@ let corrupt_unviable t =
 type 'inst halting = {
   h_inst : 'inst;
   h_sense : state;
-  mutable h_pending : bool;  (* a round awaits sensing: the two below *)
-  mutable h_obs : Io.User.obs;
-  mutable h_act : Io.User.act;
+  mutable h_pending : bool;  (* a round awaits sensing: [h_ev] *)
+  h_ev : View.event;  (* refilled in place at the end of every step *)
 }
 
 (* A user that runs [inner] but halts as soon as sensing turns positive.
@@ -232,12 +231,10 @@ let halt_on_positive sensing inner =
         h_inst = I.create inner;
         h_sense = start sensing;
         h_pending = false;
-        h_obs = Io.User.no_obs;
-        h_act = Io.User.silent;
+        h_ev = View.empty ();
       })
     ~step:(fun rng h (obs : Io.User.obs) ->
-      if h.h_pending then
-        ignore (observe h.h_sense (View.of_round h.h_obs h.h_act));
+      if h.h_pending then ignore (observe h.h_sense h.h_ev);
       match verdict h.h_sense with
       | Positive ->
           h.h_pending <- false;
@@ -245,8 +242,7 @@ let halt_on_positive sensing inner =
       | Negative ->
           let act = Io.User.unhalted (I.step rng h.h_inst obs) in
           h.h_pending <- true;
-          h.h_obs <- obs;
-          h.h_act <- act;
+          View.fill h.h_ev obs act;
           act)
 
 type report = {

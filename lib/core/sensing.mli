@@ -53,7 +53,8 @@ val start : t -> state
 
 val observe : state -> View.event -> state
 (** Absorb one round's event.  Updates the state in place and returns
-    it, so the argument must not be reused afterwards.  O(1) for the
+    it, so the argument must not be reused afterwards.  The event may be
+    refilled once this returns ({!View.event}).  O(1) for the
     constructors below. *)
 
 val verdict : state -> verdict

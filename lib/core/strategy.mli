@@ -33,9 +33,9 @@ val make_inplace :
 (** A strategy whose [step] updates the state in place and returns the
     act.  [init] must build a fresh state per call: instances never
     share one, and strategy values are shared across domains.  The act
-    may be a preallocated constant.  Observations are immutable and a
-    caller never reuses one for a later round, so [step] may keep its
-    ['obs] argument (see DESIGN.md, "The round frame"). *)
+    may be a preallocated constant.  The ['obs] argument belongs to the
+    caller, which overwrites it next round: [step] copies what it keeps
+    of it (see io.mli and DESIGN.md, "The round frame"). *)
 
 val name : ('obs, 'act) t -> string
 

@@ -66,11 +66,10 @@ type ('strat, 'inst) compact_state = {
   mutable c_inst : 'inst;
   c_sense : Sensing.state;  (* has absorbed every completed round *)
   mutable c_pending : bool;
-      (* a round awaits sensing: the two below; its [from_world] is
-         also the previous world observation the wedge detector
-         compares against *)
-  mutable c_obs : Io.User.obs;
-  mutable c_act : Io.User.act;
+      (* a round awaits sensing: [c_ev]; its [from_world] is also the
+         previous world observation the wedge detector compares
+         against *)
+  c_ev : View.event;  (* refilled in place at the end of every step *)
   mutable c_rounds_in : int;  (* rounds the current strategy has run *)
   mutable c_attempt : int;  (* retries already spent on the current index *)
   mutable c_grace : int;
@@ -137,17 +136,14 @@ let compact ?(grace = 1) ?(growth = `Doubling) ?(retries = 0) ?wedge_after
         c_inst = I.create (memo_get memo start);
         c_sense = Sensing.start sensing;
         c_pending = false;
-        c_obs = Io.User.no_obs;
-        c_act = Io.User.silent;
+        c_ev = View.empty ();
         c_rounds_in = 0;
         c_attempt = 0;
         c_grace = effective_grace start 0;
         c_stall = 0;
       })
     ~step:(fun rng state (obs : Io.User.obs) ->
-      if state.c_pending then
-        ignore
-          (Sensing.observe state.c_sense (View.of_round state.c_obs state.c_act));
+      if state.c_pending then ignore (Sensing.observe state.c_sense state.c_ev);
       let verdict =
         if not state.c_pending then Sensing.Positive (* nothing to judge yet *)
         else Sensing.verdict state.c_sense
@@ -166,7 +162,7 @@ let compact ?(grace = 1) ?(growth = `Doubling) ?(retries = 0) ?wedge_after
       let stall =
         if
           state.c_pending
-          && Msg.equal state.c_obs.Io.User.from_world obs.Io.User.from_world
+          && Msg.equal state.c_ev.View.from_world obs.Io.User.from_world
         then state.c_stall + 1
         else 0
       in
@@ -208,8 +204,7 @@ let compact ?(grace = 1) ?(growth = `Doubling) ?(retries = 0) ?wedge_after
       end;
       let act = Io.User.unhalted (I.step rng state.c_inst obs) in
       state.c_pending <- true;
-      state.c_obs <- obs;
-      state.c_act <- act;
+      View.fill state.c_ev obs act;
       state.c_rounds_in <- state.c_rounds_in + 1;
       act)
 
@@ -357,9 +352,8 @@ type ('strat, 'inst) finite_state = {
   mutable f_current : (Levin.slot * 'inst) option;
   mutable f_used : int;  (* rounds consumed in the current session *)
   f_sense : Sensing.state;  (* has absorbed every completed round *)
-  mutable f_pending : bool;  (* a round awaits sensing: the two below *)
-  mutable f_obs : Io.User.obs;
-  mutable f_act : Io.User.act;
+  mutable f_pending : bool;  (* a round awaits sensing: [f_ev] *)
+  f_ev : View.event;  (* refilled in place at the end of every step *)
 }
 
 let rec seq_drop n s =
@@ -401,13 +395,10 @@ let finite ?schedule ?checkpoint ?stats ~enum ~sensing () =
         f_used = 0;
         f_sense = Sensing.start sensing;
         f_pending = false;
-        f_obs = Io.User.no_obs;
-        f_act = Io.User.silent;
+        f_ev = View.empty ();
       })
     ~step:(fun rng state (obs : Io.User.obs) ->
-      if state.f_pending then
-        ignore
-          (Sensing.observe state.f_sense (View.of_round state.f_obs state.f_act));
+      if state.f_pending then ignore (Sensing.observe state.f_sense state.f_ev);
       let verdict =
         if not state.f_pending then Sensing.Negative (* nothing achieved yet *)
         else Sensing.verdict state.f_sense
@@ -459,8 +450,7 @@ let finite ?schedule ?checkpoint ?stats ~enum ~sensing () =
         in
         let act = Io.User.unhalted (I.step rng inst obs) in
         state.f_pending <- true;
-        state.f_obs <- obs;
-        state.f_act <- act;
+        View.fill state.f_ev obs act;
         state.f_used <- state.f_used + 1;
         act
       end)

@@ -1,21 +1,24 @@
 type event = {
-  round : int;
-  from_server : Msg.t;
-  from_world : Msg.t;
-  to_server : Msg.t;
-  to_world : Msg.t;
-  halted : bool;
+  mutable round : int;
+  mutable from_server : Msg.t;
+  mutable from_world : Msg.t;
+  mutable to_server : Msg.t;
+  mutable to_world : Msg.t;
+  mutable halted : bool;
 }
 
-let of_round (obs : Io.User.obs) (act : Io.User.act) =
-  {
-    round = obs.round;
-    from_server = obs.from_server;
-    from_world = obs.from_world;
-    to_server = act.to_server;
-    to_world = act.to_world;
-    halted = false;
-  }
+let empty () =
+  { round = 0; from_server = Msg.Silence; from_world = Msg.Silence;
+    to_server = Msg.Silence; to_world = Msg.Silence; halted = false }
+
+(* Stores only on change, as Exec.Stepper does: each runs the write barrier. *)
+let fill e (obs : Io.User.obs) (act : Io.User.act) =
+  e.round <- obs.round;
+  if e.from_server != obs.from_server then e.from_server <- obs.from_server;
+  if e.from_world != obs.from_world then e.from_world <- obs.from_world;
+  if e.to_server != act.to_server then e.to_server <- act.to_server;
+  if e.to_world != act.to_world then e.to_world <- act.to_world;
+  e.halted <- false
 
 (* NOTE on timing: the messages a user *received* in round r are the ones
    emitted in round r-1.  The view event for round r therefore pairs the

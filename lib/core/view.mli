@@ -7,17 +7,24 @@
     no view is ever materialised as a list. *)
 
 type event = {
-  round : int;
-  from_server : Msg.t;
-  from_world : Msg.t;  (** received by the user this round *)
-  to_server : Msg.t;
-  to_world : Msg.t;  (** sent by the user this round *)
-  halted : bool;
+  mutable round : int;
+  mutable from_server : Msg.t;
+  mutable from_world : Msg.t;  (** received by the user this round *)
+  mutable to_server : Msg.t;
+  mutable to_world : Msg.t;  (** sent by the user this round *)
+  mutable halted : bool;
 }
+(** The event fed to a sensor may be refilled once {!Sensing.observe}
+    returns (a universal user {!fill}s one event every round): a sensor
+    keeps fields, never the event. *)
 
-val of_round : Io.User.obs -> Io.User.act -> event
-(** The event of a round the user observed [obs] in and answered with
-    [act] (not halted): what {!fold_events} yields for that round. *)
+val empty : unit -> event
+(** Silence at round 0, for {!fill} to overwrite. *)
+
+val fill : event -> Io.User.obs -> Io.User.act -> unit
+(** [fill e obs act] copies into [e] the round the user observed [obs]
+    in and answered with [act] (not halted): what {!fold_events}
+    yields for that round. *)
 
 val fold_events : History.t -> init:'a -> f:('a -> event -> 'a) -> 'a
 (** Fold over the user-visible events of a history in chronological

@@ -184,11 +184,14 @@ let user_class ~alphabet dialects =
    assignment to the world.  The delegation world broadcasts one fixed
    formula for the whole run, so the first formula seen IS the latest
    one; the incremental state is that formula (once decoded), a flag for
-   a satisfying relay, and — until the formula arrives — a buffer of the
-   to_world messages sent so far, retro-checked the moment the formula
-   is decoded (an assignment relayed before the task was readable still
-   counts).  The world shows the formula in round 2, so a served run
-   buffers at most two messages. *)
+   a satisfying relay, and — until the formula arrives — the last
+   [candidate_window] non-silent to_world messages, retro-checked the
+   moment the formula is decoded (an assignment relayed just before the
+   task was readable still counts).  The world shows the formula in
+   round 2, so a served run has at most two candidates then; the window
+   bounds what a run that never shows one keeps. *)
+let candidate_window = 8
+
 let sensing =
   let satisfies cnf m =
     match Codec.assignment_opt ~num_vars:cnf.Cnf.num_vars m with
@@ -206,7 +209,10 @@ let sensing =
             | Some cnf ->
                 let sat = List.exists (satisfies cnf) (e.View.to_world :: pre) in
                 (Some cnf, [], sat)
-            | None -> (None, e.View.to_world :: pre, sat)
+            | None when Msg.is_silence e.View.to_world -> (None, pre, sat)
+            | None ->
+                let pre = e.View.to_world :: pre in
+                (None, Goalcom_prelude.Listx.take candidate_window pre, sat)
           end
       in
       let v =

@@ -2,20 +2,40 @@ open Goalcom
 open Goalcom_prelude
 open Goalcom_automata
 
+(* Per instance: the base server's instance, and the scratch obs it is
+   handed when decoding changes the user's message (the caller's obs is
+   not ours to overwrite; a fresh record per round is what this saves). *)
+type dialected = {
+  base_inst : (Io.Server.obs, Io.Server.act) Strategy.Instance.t;
+  decoded : Io.Server.obs;
+}
+
 let with_dialect d base =
-  let name = Printf.sprintf "%s@%s" (Strategy.name base) (Format.asprintf "%a" Dialect.pp d) in
-  Strategy.rename name
-    (Strategy.map_obs
-       (fun (obs : Io.Server.obs) ->
-         let m = Dialect_msg.decode d obs.Io.Server.from_user in
-         if m == obs.Io.Server.from_user then obs
-         else { obs with Io.Server.from_user = m })
-       (Strategy.map_act
-          (fun (act : Io.Server.act) ->
-            let m = Dialect_msg.encode d act.Io.Server.to_user in
-            if m == act.Io.Server.to_user then act
-            else { act with Io.Server.to_user = m })
-          base))
+  let module I = Strategy.Instance in
+  Strategy.make_inplace
+    ~name:(Printf.sprintf "%s@%s" (Strategy.name base) (Format.asprintf "%a" Dialect.pp d))
+    ~init:(fun () ->
+      {
+        base_inst = I.create base;
+        decoded = { Io.Server.from_user = Msg.Silence; from_world = Msg.Silence };
+      })
+    ~step:(fun rng st (obs : Io.Server.obs) ->
+      let m = Dialect_msg.decode d obs.Io.Server.from_user in
+      let obs =
+        if m == obs.Io.Server.from_user then obs
+        else begin
+          let scratch = st.decoded in
+          (* Stores only on change: each runs the write barrier. *)
+          if scratch.from_user != m then scratch.from_user <- m;
+          if scratch.from_world != obs.from_world then
+            scratch.from_world <- obs.from_world;
+          scratch
+        end
+      in
+      let act = I.step rng st.base_inst obs in
+      let m = Dialect_msg.encode d act.Io.Server.to_user in
+      if m == act.Io.Server.to_user then act
+      else { act with Io.Server.to_user = m })
 
 let dialect_class ~base dialects =
   Enum.map

@@ -464,8 +464,8 @@ let words_per_call f =
 (* Each part of an untraced Control round, driven alone with inputs
    built beforehand: the world's step and view, the server under a
    non-identity and under the identity dialect, the compact universal
-   user once settled, and the referee's live judge.  What the Summary
-   stepper adds on top is its three obs records (4 + 3 + 3 words);
+   user once settled, and the referee's live judge.  The Summary
+   stepper adds nothing on top: it reuses one obs record per party, and
    "untraced step allocation" in test_telemetry pins the whole round. *)
 let test_round_frame_words () =
   let alphabet = 4 in
@@ -513,7 +513,7 @@ let test_round_frame_words () =
       ("world step", 0., fun () -> ignore (World.Instance.step rng world (next world_obs)));
       ("world view", 0., fun () -> ignore (World.Instance.view world));
       ( "dialect-wrapped server step",
-        3.,
+        0.,
         fun () -> ignore (Strategy.Instance.step rng server (next server_obs)) );
       ( "identity-dialect server step",
         0.,
@@ -522,7 +522,7 @@ let test_round_frame_words () =
             (Strategy.Instance.step rng identity_server (next plain_server_obs))
       );
       ( "Universal.compact step",
-        7.,
+        0.,
         fun () -> ignore (Strategy.Instance.step rng user (next user_obs)) );
       ("Outcome.Live.step", 0., fun () -> Outcome.Live.step live ~round:1 (next views));
     ]
@@ -532,6 +532,299 @@ let test_round_frame_words () =
       Alcotest.(check (float 0.)) (what ^ ": words per step") pinned
         (words_per_call f))
     parts
+
+
+(* --- a step keeps no reference to its obs ------------------------------ *)
+
+(* The stepper hands each party one obs record and overwrites it with
+   the next round's messages (io.mli), so no step may keep the record.
+   Each party below is replayed twice on the same inputs and seed: once
+   with a fresh obs record per round, and once with one record, filled
+   before each step and overwritten with junk after it.  A step that
+   kept its record would read this round's messages, or junk, where it
+   expects an earlier round's, and its acts would differ. *)
+
+let junk = Msg.Text "junk"
+
+(* The index of the first round whose outputs differ, or -1. *)
+let first_difference a b =
+  let n = min (Array.length a) (Array.length b) in
+  let rec go i = if i >= n then -1 else if a.(i) = b.(i) then go (i + 1) else i in
+  go 0
+
+let check_owned what ~spawn ~step ~make ~fill ~spoil inputs =
+  let fresh =
+    let st = spawn () in
+    Array.map (fun x -> step st (make x)) inputs
+  in
+  let reused =
+    let st = spawn () and obs = make inputs.(0) in
+    Array.map
+      (fun x ->
+        fill obs x;
+        let out = step st obs in
+        spoil obs;
+        out)
+      inputs
+  in
+  Alcotest.(check int)
+    (Printf.sprintf "%s: first of %d rounds where one reused obs differs \
+                     from fresh ones" what (Array.length inputs))
+    (-1) (first_difference fresh reused)
+
+(* What each party observed in round r of a recorded run: the messages
+   emitted for it in round r-1. *)
+type inputs = {
+  users : (Msg.t * Msg.t * int) array;  (* from server, from world, round *)
+  servers : (Msg.t * Msg.t) array;  (* from user, from world *)
+  worlds : (Msg.t * Msg.t) array;  (* from user, from server *)
+}
+
+let recorded_inputs ?(horizon = 300) ~goal ~user ~server seed =
+  let h = Exec.run ~config:(Exec.config ~horizon ()) ~goal ~user ~server (Rng.make seed) in
+  let rounds = Array.of_list (Helpers.history_rounds h) in
+  let prev i f = if i = 0 then Msg.Silence else f rounds.(i - 1) in
+  let inputs f = Array.mapi (fun i (r : History.Round.t) -> f i r) rounds in
+  {
+    users =
+      inputs (fun i r ->
+          ( prev i (fun p -> p.History.Round.server_to_user),
+            prev i (fun p -> p.History.Round.world_to_user),
+            r.History.Round.index ));
+    servers =
+      inputs (fun i _ ->
+          ( prev i (fun p -> p.History.Round.user_to_server),
+            prev i (fun p -> p.History.Round.world_to_server) ));
+    worlds =
+      inputs (fun i _ ->
+          ( prev i (fun p -> p.History.Round.user_to_world),
+            prev i (fun p -> p.History.Round.server_to_world) ));
+  }
+
+let check_user what user inputs =
+  check_owned what
+    ~spawn:(fun () -> (Strategy.Instance.create user, Rng.make 5))
+    ~step:(fun (inst, rng) obs -> Strategy.Instance.step rng inst obs)
+    ~make:(fun (s, w, round) -> { Io.User.from_server = s; from_world = w; round })
+    ~fill:(fun (o : Io.User.obs) (s, w, round) ->
+      o.from_server <- s;
+      o.from_world <- w;
+      o.round <- round)
+    ~spoil:(fun (o : Io.User.obs) ->
+      o.from_server <- junk;
+      o.from_world <- junk;
+      o.round <- -1)
+    inputs
+
+let check_server what server inputs =
+  check_owned what
+    ~spawn:(fun () -> (Strategy.Instance.create server, Rng.make 6))
+    ~step:(fun (inst, rng) obs -> Strategy.Instance.step rng inst obs)
+    ~make:(fun (u, w) -> { Io.Server.from_user = u; from_world = w })
+    ~fill:(fun (o : Io.Server.obs) (u, w) ->
+      o.from_user <- u;
+      o.from_world <- w)
+    ~spoil:(fun (o : Io.Server.obs) ->
+      o.from_user <- junk;
+      o.from_world <- junk)
+    inputs
+
+(* A world's output is its act and the view after the step. *)
+let check_world what world inputs =
+  check_owned what
+    ~spawn:(fun () -> (World.Instance.create world, Rng.make 7))
+    ~step:(fun (inst, rng) obs ->
+      let act = World.Instance.step rng inst obs in
+      (act, World.Instance.view inst))
+    ~make:(fun (u, s) -> { Io.World.from_user = u; from_server = s })
+    ~fill:(fun (o : Io.World.obs) (u, s) ->
+      o.from_user <- u;
+      o.from_server <- s)
+    ~spoil:(fun (o : Io.World.obs) ->
+      o.from_user <- junk;
+      o.from_server <- junk)
+    inputs
+
+(* One goal's parties: a run of [users]' first against [server] is
+   recorded, then every user, the server and the goal's world are
+   replayed on what they saw in it. *)
+let check_goal name ~goal ~users ~server =
+  let inputs =
+    recorded_inputs ~goal ~user:(snd (List.hd users)) ~server 3
+  in
+  List.iter
+    (fun (who, user) -> check_user (name ^ " " ^ who) user inputs.users)
+    users;
+  check_server (name ^ " server") server inputs.servers;
+  check_world (name ^ " world") (Goal.world ~choice:0 goal) inputs.worlds
+
+let test_goal_parties_own_no_obs () =
+  let alphabet = 4 in
+  let dialects = Dialect.enumerate_rotations ~size:alphabet in
+  let d = Enum.get_exn dialects 1 in
+  let scenario = Maze.scenario ~width:6 ~height:6 ~start:(0, 0) ~target:(4, 3) () in
+  check_goal "printing" ~goal:(Printing.goal ~alphabet ())
+    ~users:
+      [
+        ("universal", Printing.universal_user ~alphabet dialects);
+        ("informed", Printing.informed_user ~alphabet d);
+      ]
+    ~server:(Printing.server ~alphabet d);
+  check_goal "maze" ~goal:(Maze.goal ~scenarios:[ scenario ] ~alphabet ())
+    ~users:
+      [
+        ("universal", Maze.universal_user ~alphabet ~scenario dialects);
+        ("informed", Maze.informed_user ~alphabet ~scenario d);
+      ]
+    ~server:(Maze.server ~alphabet d);
+  check_goal "control" ~goal:(Control.goal ~alphabet ())
+    ~users:
+      [
+        ("universal", Control.universal_user ~alphabet dialects);
+        ("universal (tolerant, retries, wedge)", control_universal ());
+        ("informed", Control.informed_user ~alphabet d);
+      ]
+    ~server:(Control.server ~alphabet d);
+  check_goal "password" ~goal:(Password.goal ())
+    ~users:
+      [
+        ("universal", Password.universal_user ~space:16 ());
+        ("informed", Password.informed_user 5);
+      ]
+    ~server:(Password.server_with_password 5);
+  check_goal "delegation" ~goal:(Delegation.goal ~alphabet ())
+    ~users:
+      [
+        ("universal", Delegation.universal_user ~alphabet dialects);
+        ("informed", Delegation.informed_user ~alphabet d);
+      ]
+    ~server:(Delegation.server ~alphabet d);
+  check_goal "transfer" ~goal:(Transfer.goal ~alphabet ())
+    ~users:
+      [
+        ("universal", Transfer.universal_user_fast ~alphabet dialects);
+        ("informed", Transfer.informed_user ~alphabet d);
+      ]
+    ~server:(Transfer.server ~alphabet d);
+  check_goal "prediction" ~goal:(Prediction.goal ~alphabet ())
+    ~users:
+      [
+        ("universal", Prediction.universal_user ~alphabet dialects);
+        ("teacher", Prediction.teacher_user ~alphabet d);
+      ]
+    ~server:(Prediction.server ~alphabet d);
+  check_goal "counting" ~goal:(Counting.goal ~alphabet ())
+    ~users:
+      [
+        ("universal", Counting.universal_user ~alphabet dialects);
+        ("verifier", Counting.verifier_user ~alphabet d);
+      ]
+    ~server:(Counting.server ~alphabet d);
+  check_goal "multi-session printing"
+    ~goal:(Multi_session.goal ~session_length:30 (Printing.goal ~alphabet ()))
+    ~users:
+      [
+        ( "universal",
+          Multi_session.wrap_user (Printing.universal_user ~alphabet dialects) );
+      ]
+    ~server:(Printing.server ~alphabet d);
+  (* The wedge detector compares each round's world reading with the
+     last one: a plant stream that often repeats drives it. *)
+  check_user "control universal (wedge) on a frozen plant" (control_universal ())
+    (Array.map
+       (fun (o : Io.User.obs) -> (o.from_server, o.from_world, o.round))
+       (plant_stream 9 400))
+
+let test_net_parties_own_no_obs () =
+  let alphabet = 6 and payload_alphabet = 4 in
+  let dialects = Dialect.enumerate_rotations ~size:alphabet in
+  let d = Enum.get_exn dialects 2 in
+  let module Forward = Goalcom_net.Forward in
+  let module Topo = Goalcom_net.Topo in
+  let module Mac = Goalcom_net.Mac in
+  let forward = Forward.scenario ~payload_alphabet [ 2; 0; 3; 1 ] in
+  check_goal "forward" ~goal:(Forward.goal ~scenarios:[ forward ] ~alphabet ())
+    ~users:
+      [
+        ("universal", Forward.universal_user ~alphabet dialects);
+        ("informed", Forward.informed_user ~alphabet d);
+      ]
+    ~server:(Forward.server ~alphabet ~payload_alphabet d);
+  let scenario = Topo.diamond ~payload_alphabet ~payload:2 in
+  check_goal "topo" ~goal:(Topo.goal ~scenarios:[ scenario ] ~alphabet ())
+    ~users:
+      [
+        ("universal", Topo.universal_user ~alphabet ~scenario dialects);
+        ("informed", Topo.informed_user ~alphabet ~scenario d);
+      ]
+    ~server:(Topo.server ~alphabet d);
+  check_goal "mac" ~goal:(Mac.goal ~payload_alphabet [ 1; 2; 3 ])
+    ~users:
+      [
+        ("universal", Mac.universal_user ~max_period:3 ());
+        ("policy", Mac.policy ~period:2 ~offset:1);
+      ]
+    ~server:(Transform.silent ())
+
+(* A wrapped server is replayed on what it saw in a run against the
+   universal printing user. *)
+let check_wrapped name server =
+  let alphabet = 4 in
+  let dialects = Dialect.enumerate_rotations ~size:alphabet in
+  let inputs =
+    recorded_inputs ~horizon:200 ~goal:(Printing.goal ~alphabet ())
+      ~user:(Printing.universal_user ~alphabet dialects)
+      ~server 4
+  in
+  check_server name server inputs.servers
+
+let test_wrappers_own_no_obs () =
+  let alphabet = 4 in
+  let dialects = Dialect.enumerate_rotations ~size:alphabet in
+  let d = Enum.get_exn dialects 2 in
+  let printer = Printing.server ~alphabet d in
+  let base = Printing.server ~alphabet (Dialect.identity alphabet) in
+  (* E16's fault stacks. *)
+  List.iter
+    (fun (s : Goalcom_harness.E16_fault_matrix.stack_spec) ->
+      match Fault.stack_of_string ~alphabet s.spec with
+      | Ok f -> check_wrapped ("fault " ^ s.spec) (Fault.apply f printer)
+      | Error e -> Alcotest.fail e)
+    Goalcom_harness.E16_fault_matrix.stacks;
+  (* E18's chaos conditions and servebench's storm, per session id. *)
+  let module E18 = Goalcom_harness.E18_chaos_matrix in
+  List.iter
+    (fun spec ->
+      let chaos = E18.chaos_of spec in
+      for id = 0 to 9 do
+        check_wrapped
+          (Printf.sprintf "chaos %S, session %d" spec id)
+          (Fault.apply (Chaos.stack_for chaos ~id) printer)
+      done)
+    ("kill@2,4%5=0;crash:25@1..800%3=1;burst:0.25@1..150%7=2"
+    :: List.map (fun (c : E18.condition) -> c.chaos_spec) (E18.conditions ()));
+  List.iter
+    (fun (name, f) -> check_wrapped ("chaos " ^ name) (Fault.apply f printer))
+    [
+      ("crash_storm", Chaos.crash_storm ~every:4 ~lo:2 ~hi:60);
+      ("burst_window", Chaos.burst_window ~prob:0.5 ~lo:2 ~hi:60);
+      ("blackout", Chaos.blackout ~lo:3 ~hi:40);
+    ];
+  List.iter
+    (fun (name, server) -> check_wrapped name server)
+    [
+      ("Channel.delayed", Channel.delayed ~rounds:2 printer);
+      ("Channel.drop_inbound", Channel.drop_inbound ~drop_prob:0.3 printer);
+      ("Channel.duplicate_outbound", Channel.duplicate_outbound printer);
+      ("Transform.with_dialect", Transform.with_dialect d base);
+      ("Transform.with_dialect (identity)",
+        Transform.with_dialect (Dialect.identity alphabet) base);
+      ("Transform.noisy", Transform.noisy ~flip_prob:0.3 printer);
+      ("Transform.lazy_every", Transform.lazy_every 3 printer);
+      ("Transform.deaf", Transform.deaf printer);
+      ("Transform.silent", Transform.silent ());
+      ("Transform.babbler", Transform.babbler ~alphabet_size:alphabet);
+    ]
 
 let () =
   let qc = List.map QCheck_alcotest.to_alcotest in
@@ -567,4 +860,12 @@ let () =
         ] );
       ( "round frame",
         [ Alcotest.test_case "words per layer" `Quick test_round_frame_words ] );
+      ( "obs ownership",
+        [
+          Alcotest.test_case "goal parties" `Quick test_goal_parties_own_no_obs;
+          Alcotest.test_case "network goal parties" `Quick
+            test_net_parties_own_no_obs;
+          Alcotest.test_case "fault, chaos, channel and transform wrappers"
+            `Quick test_wrappers_own_no_obs;
+        ] );
     ]

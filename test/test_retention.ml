@@ -401,13 +401,6 @@ let net_scenario = Goalcom_net.Topo.diamond ~payload_alphabet:4 ~payload:2
 let forward_scenario = Goalcom_net.Forward.scenario ~payload_alphabet:4 [ 2; 0; 3; 1 ]
 let maze_scenario = Maze.scenario ~width:8 ~height:8 ~start:(0, 0) ~target:(5, 4) ()
 
-(* Delegation's sensor keeps each message the user sent the world until
-   the task's formula arrives (the formula may come after the answer);
-   its world shows the formula in round 2, so a served run keeps at
-   most two.  Random events never carry a formula, so it is measured
-   below with the formula in the first event instead. *)
-let unbounded_until_formula = [ Delegation.sensing.Sensing.name ]
-
 let sensors () =
   [
     Control.sensing ();
@@ -448,12 +441,14 @@ let test_sensor_state_bounded () =
   let short, long = streams (fun round rng -> random_event rng round) in
   List.iter
     (fun (sensor : Sensing.t) ->
-      if not (List.mem sensor.name unbounded_until_formula) then
-        Alcotest.(check int)
-          (sensor.name ^ ": words after 100 = after 10,000 events")
-          (sensor_words sensor short) (sensor_words sensor long))
+      Alcotest.(check int)
+        (sensor.name ^ ": words after 100 = after 10,000 events")
+        (sensor_words sensor short) (sensor_words sensor long))
     (sensors ())
 
+(* Random events never carry a formula, so the case above measures
+   Delegation's sensor before its formula; this one puts the formula in
+   the first event instead. *)
 let test_delegation_bounded_after_formula () =
   let cnf = Goalcom_sat.Cnf.make ~num_vars:3 [ [ 1; -2 ]; [ 2; 3 ] ] in
   let formula = Msg.Pair (Msg.Text "task", Codec.cnf cnf) in
@@ -476,6 +471,76 @@ let test_judge_state_bounded () =
         (judge_words goal.referee short) (judge_words goal.referee long))
     (goals ())
 
+
+(* --- a sensor keeps fields, never the event ---------------------------- *)
+
+(* The universal users feed their sensor one event each, refilled every
+   round (view.mli).  Each sensor is fed a stream twice: as fresh
+   events, and through one event, filled before each [observe] and
+   overwritten with junk after it.  A sensor that kept the event would
+   read junk or a later round where it expects an earlier one, and its
+   verdicts would differ. *)
+
+let junk = Msg.Text "junk"
+
+let verdicts_fed ~reuse sensor events =
+  let st = Sensing.start sensor in
+  let ev = View.empty () in
+  List.map
+    (fun (e : View.event) ->
+      if not reuse then Sensing.verdict (Sensing.observe st e)
+      else begin
+        ev.round <- e.round;
+        ev.from_server <- e.from_server;
+        ev.from_world <- e.from_world;
+        ev.to_server <- e.to_server;
+        ev.to_world <- e.to_world;
+        ev.halted <- e.halted;
+        let v = Sensing.verdict (Sensing.observe st ev) in
+        ev.round <- -1;
+        ev.from_server <- junk;
+        ev.from_world <- junk;
+        ev.to_server <- junk;
+        ev.to_world <- junk;
+        v
+      end)
+    events
+
+(* A random stream, and for Delegation's window a stream whose formula
+   shows only after a satisfying answer was relayed. *)
+let ownership_streams () =
+  let rng = Rng.make 41 in
+  let random = List.init 2_000 (fun i -> random_event rng (i + 1)) in
+  let cnf = Goalcom_sat.Cnf.make ~num_vars:3 [ [ 1; -2 ]; [ 2; 3 ] ] in
+  let formula = Msg.Pair (Msg.Text "task", Codec.cnf cnf) in
+  let answer = Codec.assignment [ true; true; false ] in
+  let late_formula =
+    List.mapi
+      (fun i (e : View.event) ->
+        if i = 3 then { e with View.to_world = answer }
+        else if i >= 6 then { e with View.from_world = formula }
+        else e)
+      (List.filteri (fun i _ -> i < 40) random)
+  in
+  [ ("random", random); ("formula after the answer", late_formula) ]
+
+let test_sensors_keep_no_event () =
+  let late = List.assoc "formula after the answer" (ownership_streams ()) in
+  Alcotest.(check bool) "delegation: the answer before the formula counts" true
+    (List.mem Sensing.Positive (verdicts_fed ~reuse:false Delegation.sensing late));
+  List.iter
+    (fun (stream, events) ->
+      List.iter
+        (fun (sensor : Sensing.t) ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s, %s stream: one reused event = fresh events"
+               sensor.name stream)
+            true
+            (verdicts_fed ~reuse:false sensor events
+            = verdicts_fed ~reuse:true sensor events))
+        (sensors ()))
+    (ownership_streams ())
+
 let () =
   Alcotest.run "retention"
     [
@@ -494,5 +559,10 @@ let () =
           Alcotest.test_case "delegation after its formula" `Quick
             test_delegation_bounded_after_formula;
           Alcotest.test_case "judges" `Quick test_judge_state_bounded;
+        ] );
+      ( "event ownership",
+        [
+          Alcotest.test_case "sensors keep no event" `Quick
+            test_sensors_keep_no_event;
         ] );
     ]
